@@ -10,7 +10,8 @@
 # drift diff CI's codegen-drift step would print), the per-kernel
 # static-analysis elision table (printed in
 # every run so analysis-precision regressions are visible), the advisory
-# bench regression gate (scripts/bench_gate.py; -s makes it fatal), and
+# bench regression gate (scripts/bench_gate.py; -s makes it fatal), the
+# repository benchmark's build + smoke run (benchmark/run.sh --smoke), and
 # (when clang-format is installed) the format check. Also reachable as the
 # `check` CMake target once a build tree is configured.
 #
@@ -68,6 +69,11 @@ else
   echo "!!! SKIP: python3 not installed — bench gate DID NOT RUN"      >&2
   echo "!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!" >&2
 fi
+
+echo "== benchmark build + smoke run (results in ci-artifacts/) =="
+bash benchmark/run.sh --smoke
+mkdir -p ci-artifacts
+cp benchmark/out/results.json ci-artifacts/benchmark-smoke-results.json
 
 echo "== format check =="
 if command -v clang-format > /dev/null 2>&1; then

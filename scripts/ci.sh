@@ -19,7 +19,9 @@
 #    still run under release AND ASan.
 #  * `release` additionally writes the static-analysis elision table and
 #    the (advisory) bench-gate report into ci-artifacts/ for the workflow
-#    to upload.
+#    to upload, and builds and smoke-runs the repository benchmark
+#    (benchmark/run.sh --smoke), keeping its results.json as an artifact —
+#    the one place a src/ API change that breaks benchmark/ shows up.
 #  * `codegen-drift` is the analysis→codegen staleness gate: it builds
 #    txir_sitegen, writes a freshly regenerated header and the kernel
 #    precision report into ci-artifacts/ (so a red run uploads exactly
@@ -123,6 +125,9 @@ case "$mode" in
     else
       die "python3 missing for the bench gate — run 'scripts/ci.sh setup'"
     fi
+    echo "== ci.sh: benchmark build + smoke run =="
+    bash benchmark/run.sh --smoke
+    cp benchmark/out/results.json ci-artifacts/benchmark-smoke-results.json
     ;;
 
   asan|tsan)

@@ -9,8 +9,8 @@
 // first compare runs. The frame fixes the layout instead:
 //
 //   line 0: tx stack bound, the filter log's (table, shift, epoch) view,
-//           the tree-log and private-registry pointers, the nested-undo
-//           policy bit — everything a hit or miss decision reads first.
+//           the tree-log and private-registry pointers — everything a hit
+//           or miss decision reads first.
 //   line 1+: the cache-line array log, inline (Figure 6's whole point is
 //           that a membership scan touches a single line).
 //
@@ -43,10 +43,6 @@ struct alignas(kCacheLineSize) CaptureFrame {
   const FilterAllocLog::Entry* filter_table = nullptr;
   std::uint64_t filter_epoch = 0;
   std::uint32_t filter_shift = 0;
-
-  /// cfg.nested_undo_for_captured, resolved at begin so captured-write fast
-  /// paths never read the config.
-  bool nested_undo = true;
 
   /// Precise log for the tree-backed plans and count-mode classification.
   const TreeAllocLog* tree = nullptr;

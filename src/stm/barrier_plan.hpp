@@ -8,10 +8,19 @@
 // transaction. The plan hoists all of that to begin_top: each barrier
 // direction (read, write) is mapped to one of a small set of specialized
 // fast paths (template instantiations in stm/barriers.hpp), and the
-// allocator hooks are told which concrete log to feed. The paper's named
-// configurations all land on a specialized path; arbitrary hand-rolled
-// flag combinations still work through the kGeneric fallback, which keeps
-// the old per-access branching semantics.
+// allocator hooks are told which concrete log to feed. The mapping is total
+// over every valid TxConfig (TxConfig::valid()):
+//
+//   config                        direction path              log
+//   count_mode                    kCounting (both)            kTree
+//   static_elision                kStatic (both)              kNone
+//   heap_<dir>, stack_private     kStackHeapPriv{log}         {log}
+//   heap_<dir>                    kHeap{log}                  {log}
+//   no check on <dir>             kFull                       as above
+//
+// where {log} is alloc_log with the kAdaptive tag resolved to a concrete
+// structure. Invalid configs are rejected by set_global_config and never
+// reach compile().
 #pragma once
 
 #include <cstdint>
@@ -39,7 +48,6 @@ enum class BarrierPath : std::uint8_t {
   kHeapArray,
   kHeapFilter,
   kCounting,            // Fig. 8: classify precisely, then full barrier
-  kGeneric,             // any other flag combination: per-access cfg checks
 };
 
 struct BarrierPlan {
@@ -57,8 +65,8 @@ struct BarrierPlan {
   // capture-elided store, never test it.
   bool durable = false;
 
-  /// Resolves a TxConfig into its plan. Constexpr so preset→path mappings
-  /// can be checked at compile time (see tests/test_stm_basic.cpp).
+  /// Resolves a valid TxConfig into its plan. Constexpr so config→path
+  /// mappings can be checked at compile time (see tests/test_stm_basic.cpp).
   ///
   /// The kAdaptive tag resolves HERE, to whatever concrete structure the
   /// caller substituted; compiling a raw adaptive config yields the
@@ -68,70 +76,41 @@ struct BarrierPlan {
   /// the whole re-specialization hook: plans change between transactions,
   /// barriers never dispatch on anything but the compiled plan.
   static constexpr BarrierPlan compile(const TxConfig& cfg) {
-    TxConfig c = cfg;
-    if (c.alloc_log == AllocLogKind::kAdaptive) {
-      c.alloc_log = AllocLogKind::kArray;  // AdaptiveLogPolicy's start state
-    }
-    return compile_concrete(c);
-  }
-
- private:
-  static constexpr BarrierPlan compile_concrete(const TxConfig& cfg) {
     BarrierPlan p;
     p.cm = cfg.contention;
     p.durable = cfg.durable;
-    p.log = cfg.count_mode ? ActiveLog::kTree  // precise classification
-            : (cfg.heap_read || cfg.heap_write) ? to_active(cfg.alloc_log)
-                                                : ActiveLog::kNone;
     if (cfg.count_mode) {
-      // The counting preset runs no elision; counting combined with other
-      // optimizations is a measurement nobody defined — generic handles it.
-      const bool pure = !cfg.static_elision && !cfg.any_read_check() &&
-                        !cfg.any_write_check();
-      p.read = p.write = pure ? BarrierPath::kCounting : BarrierPath::kGeneric;
+      p.read = p.write = BarrierPath::kCounting;
+      p.log = ActiveLog::kTree;  // precise classification
       return p;
     }
     if (cfg.static_elision) {
-      if (cfg.any_read_check() || cfg.any_write_check()) {
-        p.read = p.write = BarrierPath::kGeneric;
-      } else {
-        p.read = p.write = BarrierPath::kStatic;
-      }
+      p.read = p.write = BarrierPath::kStatic;
       return p;
     }
-    p.read =
-        direction(cfg.stack_read, cfg.heap_read, cfg.private_read, cfg.alloc_log);
-    p.write = direction(cfg.stack_write, cfg.heap_write, cfg.private_write,
-                        cfg.alloc_log);
+    const AllocLogKind k = cfg.alloc_log == AllocLogKind::kAdaptive
+                               ? AllocLogKind::kArray  // policy start state
+                               : cfg.alloc_log;
+    const BarrierPath checked = with_log(
+        cfg.stack_private ? BarrierPath::kStackHeapPrivTree
+                          : BarrierPath::kHeapTree,
+        k);
+    p.read = cfg.heap_read ? checked : BarrierPath::kFull;
+    p.write = cfg.heap_write ? checked : BarrierPath::kFull;
+    if (cfg.heap_read || cfg.heap_write) {
+      p.log = static_cast<ActiveLog>(static_cast<int>(k) + 1);
+    }
     return p;
   }
 
  private:
-  static constexpr ActiveLog to_active(AllocLogKind k) {
-    switch (k) {
-      case AllocLogKind::kTree: return ActiveLog::kTree;
-      case AllocLogKind::kArray: return ActiveLog::kArray;
-      case AllocLogKind::kFilter: return ActiveLog::kFilter;
-      case AllocLogKind::kAdaptive: return ActiveLog::kArray;  // start state
-    }
-    return ActiveLog::kTree;
-  }
-
   // BarrierPath lays the ×{tree,array,filter} families out contiguously in
-  // AllocLogKind order, so selecting the member is an add, not a switch.
+  // AllocLogKind order (as ActiveLog does, after kNone), so selecting the
+  // member is an add, not a switch.
   static constexpr BarrierPath with_log(BarrierPath tree_member,
                                         AllocLogKind k) {
     return static_cast<BarrierPath>(static_cast<int>(tree_member) +
                                     static_cast<int>(k));
-  }
-
-  static constexpr BarrierPath direction(bool stack, bool heap, bool priv,
-                                         AllocLogKind k) {
-    if (!stack && !heap && !priv) return BarrierPath::kFull;
-    if (stack && heap && priv)
-      return with_log(BarrierPath::kStackHeapPrivTree, k);
-    if (!stack && heap && !priv) return with_log(BarrierPath::kHeapTree, k);
-    return BarrierPath::kGeneric;
   }
 };
 

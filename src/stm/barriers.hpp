@@ -13,9 +13,8 @@
 // BarrierPlan (stm/barrier_plan.hpp), and each barrier dispatches on the
 // plan's per-direction slot to a fully specialized path — zero config
 // branches, zero indirect calls, membership state read straight from the
-// packed CaptureFrame in the descriptor. Arbitrary hand-rolled configs that
-// match no specialized path fall back to kGeneric, which re-derives the
-// checks from cfg per access (the pre-plan behavior).
+// packed CaptureFrame in the descriptor. Every valid config has such a path;
+// set_global_config rejects the rest, so no per-access fallback exists.
 #pragma once
 
 #include <atomic>
@@ -124,68 +123,60 @@ inline void classify_access(Tx& tx, const void* addr, std::size_t n,
 // ---------------------------------------------------------------------------
 // Specialized plan paths
 // ---------------------------------------------------------------------------
-// One instantiation per BarrierPath family member. The spec is a structural
-// NTTP, so every `if constexpr` below folds away and each path compiles to
-// exactly its checks, in Figure 2's cheapest-first order, with membership
-// read straight off tx.frame.
+// One instantiation per runtime-check BarrierPath. The path's coordinates
+// (stack+private checks or not, which log) are compile-time constants, so
+// every `if constexpr` below folds away and each path compiles to exactly
+// its checks, in Figure 2's cheapest-first order, with membership read
+// straight off tx.frame.
 
-struct PathSpec {
-  bool stack = false;
-  bool heap = false;
-  AllocLogKind log = AllocLogKind::kTree;  // meaningful only when heap
-  bool priv = false;
-};
+template <BarrierPath B>
+inline constexpr bool kChecksStackPrivate =
+    B <= BarrierPath::kStackHeapPrivFilter;
 
-inline constexpr PathSpec kPathSHPTree{true, true, AllocLogKind::kTree, true};
-inline constexpr PathSpec kPathSHPArray{true, true, AllocLogKind::kArray, true};
-inline constexpr PathSpec kPathSHPFilter{true, true, AllocLogKind::kFilter,
-                                         true};
-inline constexpr PathSpec kPathHeapTree{false, true, AllocLogKind::kTree,
-                                        false};
-inline constexpr PathSpec kPathHeapArray{false, true, AllocLogKind::kArray,
-                                         false};
-inline constexpr PathSpec kPathHeapFilter{false, true, AllocLogKind::kFilter,
-                                          false};
+// Inverse of BarrierPlan::with_log: both families are laid out in
+// AllocLogKind order.
+template <BarrierPath B>
+inline constexpr AllocLogKind kLogOf = static_cast<AllocLogKind>(
+    (static_cast<int>(B) - static_cast<int>(BarrierPath::kStackHeapPrivTree)) %
+    3);
 
-template <PathSpec P>
+template <BarrierPath B>
 [[gnu::always_inline]] inline bool heap_hit(const CaptureFrame& f,
                                             const void* addr, std::size_t n) {
-  if constexpr (P.log == AllocLogKind::kArray) {
+  if constexpr (kLogOf<B> == AllocLogKind::kArray) {
     return f.array_contains(addr, n);
-  } else if constexpr (P.log == AllocLogKind::kFilter) {
+  } else if constexpr (kLogOf<B> == AllocLogKind::kFilter) {
     return f.filter_contains(addr, n);
   } else {
     return f.tree_contains(addr, n);
   }
 }
 
-/// Store to memory classified captured. Captured writes in a *nested*
-/// transaction still need a pre-image so a partial abort can restore memory
-/// live-in to the child (Section 2.2.1); at nesting depth 1 the memory dies
-/// on abort.
+/// Store to memory classified captured, statically or at runtime. Captured
+/// writes in a *nested* transaction still need a pre-image so a partial
+/// abort can restore memory live-in to the child (Section 2.2.1); at nesting
+/// depth 1 the memory dies on abort.
 template <TmValue T>
 [[gnu::always_inline]] inline void captured_store(Tx& tx, T* addr, T value) {
-  if (tx.depth > 1 && tx.frame.nested_undo) [[unlikely]] {
+  if (tx.depth > 1) [[unlikely]] {
     tx.undo.record(addr, sizeof(T));
   }
   store_relaxed(addr, value);
 }
 
-template <PathSpec P, TmValue T>
+template <BarrierPath B, TmValue T>
 [[gnu::always_inline]] inline T plan_read(Tx& tx, const T* addr) {
-  if constexpr (P.stack) {
+  if constexpr (kChecksStackPrivate<B>) {
     if (tx.frame.on_tx_stack(addr, sizeof(T))) {
       ++tx.stats.read_elided_stack;
       return *addr;
     }
   }
-  if constexpr (P.heap) {
-    if (heap_hit<P>(tx.frame, addr, sizeof(T))) {
-      ++tx.stats.read_elided_heap;
-      return *addr;
-    }
+  if (heap_hit<B>(tx.frame, addr, sizeof(T))) {
+    ++tx.stats.read_elided_heap;
+    return *addr;
   }
-  if constexpr (P.priv) {
+  if constexpr (kChecksStackPrivate<B>) {
     if (tx.frame.priv_contains(addr, sizeof(T))) {
       ++tx.stats.read_elided_private;
       return *addr;
@@ -194,77 +185,23 @@ template <PathSpec P, TmValue T>
   return full_tm_read(tx, addr);
 }
 
-template <PathSpec P, TmValue T>
+template <BarrierPath B, TmValue T>
 [[gnu::always_inline]] inline void plan_write(Tx& tx, T* addr, T value) {
-  if constexpr (P.stack) {
+  if constexpr (kChecksStackPrivate<B>) {
     if (tx.frame.on_tx_stack(addr, sizeof(T))) {
       ++tx.stats.write_elided_stack;
       captured_store(tx, addr, value);
       return;
     }
   }
-  if constexpr (P.heap) {
-    if (heap_hit<P>(tx.frame, addr, sizeof(T))) {
-      ++tx.stats.write_elided_heap;
-      captured_store(tx, addr, value);
-      return;
-    }
-  }
-  if constexpr (P.priv) {
-    if (tx.frame.priv_contains(addr, sizeof(T))) {
-      ++tx.stats.write_elided_private;
-      captured_store(tx, addr, value);
-      return;
-    }
-  }
-  full_tm_write(tx, addr, value);
-}
-
-// ---------------------------------------------------------------------------
-// Generic fallback (BarrierPath::kGeneric)
-// ---------------------------------------------------------------------------
-// Re-derives every check from cfg per access — the pre-plan behavior, kept
-// for flag combinations no specialized path covers.
-
-template <TmValue T>
-[[gnu::noinline]] T generic_tm_read(Tx& tx, const T* addr, const Site& site) {
-  if (tx.cfg.count_mode) [[unlikely]] {
-    classify_access(tx, addr, sizeof(T), site, /*is_write=*/false);
-  }
-  if (tx.cfg.static_elision && site.read_elidable()) {
-    ++tx.stats.read_elided_static;
-    return *addr;
-  }
-  if (tx.cfg.any_read_check()) {
-    switch (tx.runtime_captured(addr, sizeof(T), /*is_write=*/false)) {
-      case CaptureKind::kStack: ++tx.stats.read_elided_stack; return *addr;
-      case CaptureKind::kHeap: ++tx.stats.read_elided_heap; return *addr;
-      case CaptureKind::kPrivate: ++tx.stats.read_elided_private; return *addr;
-      case CaptureKind::kNone: break;
-    }
-  }
-  return full_tm_read(tx, addr);
-}
-
-template <TmValue T>
-[[gnu::noinline]] void generic_tm_write(Tx& tx, T* addr, T value, const Site& site) {
-  if (tx.cfg.count_mode) [[unlikely]] {
-    classify_access(tx, addr, sizeof(T), site, /*is_write=*/true);
-  }
-  if (tx.cfg.static_elision && site.write_elidable()) {
-    ++tx.stats.write_elided_static;
-    *addr = value;
+  if (heap_hit<B>(tx.frame, addr, sizeof(T))) {
+    ++tx.stats.write_elided_heap;
+    captured_store(tx, addr, value);
     return;
   }
-  if (tx.cfg.any_write_check()) {
-    const CaptureKind k = tx.runtime_captured(addr, sizeof(T), /*is_write=*/true);
-    if (k != CaptureKind::kNone) {
-      switch (k) {
-        case CaptureKind::kStack: ++tx.stats.write_elided_stack; break;
-        case CaptureKind::kHeap: ++tx.stats.write_elided_heap; break;
-        case CaptureKind::kPrivate: ++tx.stats.write_elided_private; break;
-        case CaptureKind::kNone: break;
-      }
+  if constexpr (kChecksStackPrivate<B>) {
+    if (tx.frame.priv_contains(addr, sizeof(T))) {
+      ++tx.stats.write_elided_private;
       captured_store(tx, addr, value);
       return;
     }
@@ -277,42 +214,41 @@ template <TmValue T>
 /// Transactional read of *addr. Outside a transaction this is a plain load,
 /// which lets the same code run for sequential setup and verification.
 ///
-/// Force-inlined: with the full barrier and the generic fallback outlined,
-/// what remains is the plan dispatch plus the capture checks — exactly the
-/// code that must sit in the caller's loop for an elided access to cost a
-/// couple of instructions (the seed inlined its smaller, branchier
-/// equivalent; without the attribute GCC balks at the switch's size).
+/// Force-inlined: with the full barrier outlined, what remains is the plan
+/// dispatch plus the capture checks — exactly the code that must sit in the
+/// caller's loop for an elided access to cost a couple of instructions (the
+/// seed inlined its smaller, branchier equivalent; without the attribute GCC
+/// balks at the switch's size).
 template <TmValue T>
 [[gnu::always_inline]] inline T tm_read(Tx& tx, const T* addr,
                                         const Site& site = kSharedSite) {
   if (!tx.in_tx()) return *addr;
   ++tx.stats.reads;
+  using enum BarrierPath;
   switch (tx.plan.read) {
-    case BarrierPath::kFull:
+    case kFull:
       break;
-    case BarrierPath::kStatic:
+    case kStatic:
       if (site.read_elidable()) {
         ++tx.stats.read_elided_static;
         return *addr;
       }
       break;
-    case BarrierPath::kStackHeapPrivTree:
-      return detail::plan_read<detail::kPathSHPTree>(tx, addr);
-    case BarrierPath::kStackHeapPrivArray:
-      return detail::plan_read<detail::kPathSHPArray>(tx, addr);
-    case BarrierPath::kStackHeapPrivFilter:
-      return detail::plan_read<detail::kPathSHPFilter>(tx, addr);
-    case BarrierPath::kHeapTree:
-      return detail::plan_read<detail::kPathHeapTree>(tx, addr);
-    case BarrierPath::kHeapArray:
-      return detail::plan_read<detail::kPathHeapArray>(tx, addr);
-    case BarrierPath::kHeapFilter:
-      return detail::plan_read<detail::kPathHeapFilter>(tx, addr);
-    case BarrierPath::kCounting:
+    case kStackHeapPrivTree:
+      return detail::plan_read<kStackHeapPrivTree>(tx, addr);
+    case kStackHeapPrivArray:
+      return detail::plan_read<kStackHeapPrivArray>(tx, addr);
+    case kStackHeapPrivFilter:
+      return detail::plan_read<kStackHeapPrivFilter>(tx, addr);
+    case kHeapTree:
+      return detail::plan_read<kHeapTree>(tx, addr);
+    case kHeapArray:
+      return detail::plan_read<kHeapArray>(tx, addr);
+    case kHeapFilter:
+      return detail::plan_read<kHeapFilter>(tx, addr);
+    case kCounting:
       detail::classify_access(tx, addr, sizeof(T), site, /*is_write=*/false);
       break;
-    case BarrierPath::kGeneric:
-      return detail::generic_tm_read(tx, addr, site);
   }
   return detail::full_tm_read(tx, addr);
 }
@@ -327,33 +263,31 @@ template <TmValue T>
     return;
   }
   ++tx.stats.writes;
+  using enum BarrierPath;
   switch (tx.plan.write) {
-    case BarrierPath::kFull:
+    case kFull:
       break;
-    case BarrierPath::kStatic:
+    case kStatic:
       if (site.write_elidable()) {
         ++tx.stats.write_elided_static;
-        *addr = value;
-        return;
+        return detail::captured_store(tx, addr, value);
       }
       break;
-    case BarrierPath::kStackHeapPrivTree:
-      return detail::plan_write<detail::kPathSHPTree>(tx, addr, value);
-    case BarrierPath::kStackHeapPrivArray:
-      return detail::plan_write<detail::kPathSHPArray>(tx, addr, value);
-    case BarrierPath::kStackHeapPrivFilter:
-      return detail::plan_write<detail::kPathSHPFilter>(tx, addr, value);
-    case BarrierPath::kHeapTree:
-      return detail::plan_write<detail::kPathHeapTree>(tx, addr, value);
-    case BarrierPath::kHeapArray:
-      return detail::plan_write<detail::kPathHeapArray>(tx, addr, value);
-    case BarrierPath::kHeapFilter:
-      return detail::plan_write<detail::kPathHeapFilter>(tx, addr, value);
-    case BarrierPath::kCounting:
+    case kStackHeapPrivTree:
+      return detail::plan_write<kStackHeapPrivTree>(tx, addr, value);
+    case kStackHeapPrivArray:
+      return detail::plan_write<kStackHeapPrivArray>(tx, addr, value);
+    case kStackHeapPrivFilter:
+      return detail::plan_write<kStackHeapPrivFilter>(tx, addr, value);
+    case kHeapTree:
+      return detail::plan_write<kHeapTree>(tx, addr, value);
+    case kHeapArray:
+      return detail::plan_write<kHeapArray>(tx, addr, value);
+    case kHeapFilter:
+      return detail::plan_write<kHeapFilter>(tx, addr, value);
+    case kCounting:
       detail::classify_access(tx, addr, sizeof(T), site, /*is_write=*/true);
       break;
-    case BarrierPath::kGeneric:
-      return detail::generic_tm_write(tx, addr, value, site);
   }
   detail::full_tm_write(tx, addr, value);
 }

@@ -2,6 +2,13 @@
 // allocation-log data structure backs the heap check, and the contention
 // policy. The named presets correspond exactly to the configurations the
 // paper evaluates in Figures 9-11 and Tables 1-2.
+//
+// The barrier fields form a small algebra with one meaning per value: a
+// runtime-check config (heap_read/heap_write, optionally widened by
+// stack_private), a static_elision config, or a count_mode config — at most
+// one of the three. valid() states the rule; set_global_config() rejects
+// anything else, so every config a transaction can see compiles to a
+// specialized barrier path (stm/barrier_plan.hpp).
 #pragma once
 
 #include <cstdint>
@@ -19,16 +26,16 @@ enum class ContentionPolicy : std::uint8_t {
 };
 
 struct TxConfig {
-  // Runtime capture checks (Section 3.1), separately for reads and writes to
-  // reproduce the paper's "write barriers only" configurations.
-  bool stack_read = false;
-  bool stack_write = false;
+  // Runtime capture checks (Section 3.1) on the tx-local heap, separately for
+  // reads and writes to reproduce the paper's "write barriers only"
+  // configurations.
   bool heap_read = false;
   bool heap_write = false;
 
-  // Annotation-registry checks (Section 3.1.3, thread-local/read-only data).
-  bool private_read = false;
-  bool private_write = false;
+  // The directions checked above also test the tx-local stack (Section
+  // 3.1.1) and the annotation registry (Section 3.1.3, thread-local/read-only
+  // data). Requires a heap check.
+  bool stack_private = false;
 
   // Compiler capture analysis (Section 3.2): honor Site::verdict.
   bool static_elision = false;
@@ -36,10 +43,6 @@ struct TxConfig {
   // Fig. 8 counting mode: classify every barrier with the precise tree log
   // but still execute the full barrier (measurement, not optimization).
   bool count_mode = false;
-
-  // Undo-log writes to captured memory inside nested transactions so that a
-  // partial abort can restore them (Section 2.2.1).
-  bool nested_undo_for_captured = true;
 
   // Durable mode (ROADMAP direction 2): non-captured stores are redo-logged
   // and commit runs the flush/fence protocol in src/durable/. Compiled into
@@ -51,9 +54,12 @@ struct TxConfig {
   AllocLogKind alloc_log = AllocLogKind::kTree;
   ContentionPolicy contention = ContentionPolicy::kBackoff;
 
-  constexpr bool any_read_check() const { return stack_read || heap_read || private_read; }
-  constexpr bool any_write_check() const {
-    return stack_write || heap_write || private_write;
+  /// Runtime checks, static elision and counting are mutually exclusive,
+  /// and stack_private only widens a heap check.
+  constexpr bool valid() const {
+    const bool runtime = heap_read || heap_write;
+    if (stack_private && !runtime) return false;
+    return int{runtime} + int{static_elision} + int{count_mode} <= 1;
   }
 
   /// Same barrier configuration, different contention manager. CM choice is
@@ -81,8 +87,7 @@ struct TxConfig {
   /// Runtime checks for tx-local stack and heap in read AND write barriers.
   static constexpr TxConfig runtime_rw(AllocLogKind k = AllocLogKind::kTree) {
     TxConfig c;
-    c.stack_read = c.stack_write = c.heap_read = c.heap_write = true;
-    c.private_read = c.private_write = true;
+    c.heap_read = c.heap_write = c.stack_private = true;
     c.alloc_log = k;
     return c;
   }
@@ -90,8 +95,7 @@ struct TxConfig {
   /// Runtime checks for tx-local stack and heap in write barriers only.
   static constexpr TxConfig runtime_w(AllocLogKind k = AllocLogKind::kTree) {
     TxConfig c;
-    c.stack_write = c.heap_write = true;
-    c.private_write = true;
+    c.heap_write = c.stack_private = true;
     c.alloc_log = k;
     return c;
   }
@@ -144,7 +148,8 @@ struct TxConfig {
 };
 
 /// Installs the configuration picked up by transactions at begin. Threads
-/// observe the change on their next top-level transaction.
+/// observe the change on their next top-level transaction. Throws
+/// std::invalid_argument unless cfg.valid().
 void set_global_config(const TxConfig& cfg);
 TxConfig global_config();
 

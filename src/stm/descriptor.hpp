@@ -32,7 +32,7 @@ struct TxAbortException {};
 /// retrying (partial abort when nested, cancellation at top level).
 struct TxUserAbort {};
 
-enum class CaptureKind : std::uint8_t { kNone, kStack, kHeap, kPrivate };
+enum class CaptureKind : std::uint8_t { kNone, kStack, kHeap };
 
 class Tx {
  public:
@@ -141,8 +141,8 @@ class Tx {
   /// maintains no log and never invokes @p fn). Mutating call sites —
   /// allocator hooks, nested-abort replay, end-of-tx reset — all go
   /// through here; the read-side membership dispatch lives in the barrier
-  /// plan paths and alloc_log_contains below, which read the frame's
-  /// cached views instead of the (lazily constructed) log objects.
+  /// plan paths, which read the frame's cached views instead of the
+  /// (lazily constructed) log objects.
   template <typename Fn>
   void with_active_log(Fn&& fn) {
     switch (plan.log) {
@@ -159,16 +159,6 @@ class Tx {
   void alloc_log_erase(const void* p, std::size_t n) {
     with_active_log([&](auto& log) { log.erase(p, n); });
   }
-  bool alloc_log_contains(const void* p, std::size_t n) const {
-    switch (plan.log) {
-      case ActiveLog::kNone: return false;
-      case ActiveLog::kTree: return frame.tree_contains(p, n);
-      case ActiveLog::kArray: return frame.array_contains(p, n);
-      case ActiveLog::kFilter: return frame.filter_contains(p, n);
-    }
-    return false;
-  }
-
   bool in_tx() const { return depth > 0; }
 
   /// Appends a redo entry for a non-captured store. Called only from the
@@ -219,27 +209,6 @@ class Tx {
   /// repeated consecutive aborts (single-core livelock guard).
   void after_abort_pause();
   void pause_backoff() { backoff_.pause(consecutive_aborts); }
-
-  // -- Runtime capture analysis (Section 3.1) --------------------------------
-  // The specialized plan paths in stm/barriers.hpp read the frame directly;
-  // these two remain for the kGeneric fallback and count mode.
-
-  /// Returns how [addr, addr+n) is captured, honoring the per-config check
-  /// switches for the given access direction.
-  CaptureKind runtime_captured(const void* addr, std::size_t n, bool is_write) {
-    if (is_write ? cfg.stack_write : cfg.stack_read) {
-      if (frame.on_tx_stack(addr, n)) return CaptureKind::kStack;
-    }
-    if (is_write ? cfg.heap_write : cfg.heap_read) {
-      if (alloc_log_contains(addr, n)) return CaptureKind::kHeap;
-    }
-    if (is_write ? cfg.private_write : cfg.private_read) {
-      if (frame.priv != nullptr && frame.priv->contains(addr, n)) {
-        return CaptureKind::kPrivate;
-      }
-    }
-    return CaptureKind::kNone;
-  }
 
   /// Precise classification for count mode (Fig. 8): heap first, then stack.
   CaptureKind classify(const void* addr, std::size_t n) {

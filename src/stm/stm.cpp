@@ -2,6 +2,7 @@
 #include <pthread.h>
 
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "capture/private_registry.hpp"
@@ -125,6 +126,11 @@ bool wait_for_release(std::atomic<std::uint64_t>* rec,
 }  // namespace
 
 void set_global_config(const TxConfig& cfg) {
+  if (!cfg.valid()) {
+    throw std::invalid_argument(
+        "TxConfig: runtime checks, static_elision and count_mode are "
+        "mutually exclusive, and stack_private requires a heap check");
+  }
   std::lock_guard<std::mutex> lk(g_config_mutex);
   g_config = cfg;
   g_config_epoch.fetch_add(1, std::memory_order_release);
@@ -273,7 +279,6 @@ void Tx::begin_top(const void* sp) {
     cfg = global_config();
     tls_cfg_epoch = epoch;
     plan = BarrierPlan::compile(cfg);
-    frame.nested_undo = cfg.nested_undo_for_captured;
     // A fresh config restarts the adaptive decision sequence from the
     // policy's start state (matching what compile() just normalized the
     // kAdaptive tag to), so identical runs of a workload make identical
@@ -282,7 +287,7 @@ void Tx::begin_top(const void* sp) {
     adapt.reset();
     adapt_kind_ = AllocLogKind::kArray;
   }
-  if (cfg.alloc_log == AllocLogKind::kAdaptive && !cfg.count_mode &&
+  if (cfg.alloc_log == AllocLogKind::kAdaptive &&
       (cfg.heap_read || cfg.heap_write)) {
     // Online re-specialization: feed the policy this thread's cumulative
     // profile, and if its structure choice moved, recompile the plan with

@@ -3,8 +3,8 @@
 // Barrier elision — static, runtime, or none — may change SPEED, never
 // OUTCOMES. This suite runs one randomized container+malloc workload to a
 // fixed seed under EVERY barrier preset (full / static / stack+heap+priv
-// and heap-only across all three alloc-log structures / counting / the
-// generic per-access fallback / the online-adaptive structure selector),
+// and heap-only across all three alloc-log structures / heap reads only /
+// counting / the online-adaptive structure selector),
 // plus a contention-manager cross on a representative barrier subset and a
 // durable-mode cross (redo logging + flush accounting riding commit), and
 // asserts bit-identical final state and identical commit counts across all
@@ -38,8 +38,8 @@ constexpr std::uint64_t kSeed = 0x5eed2009u;
 constexpr int kSteps = 12000;
 constexpr std::uint64_t kKeyRange = 256;
 
-/// Every barrier preset named by the paper plus the off-preset flag
-/// combinations that exercise the kGeneric fallback.
+/// Every barrier preset named by the paper plus a heap-read-only config no
+/// preset names (reads checked, writes full).
 std::vector<std::pair<std::string, TxConfig>> all_presets() {
   std::vector<std::pair<std::string, TxConfig>> presets = {
       {"full", TxConfig::baseline()},
@@ -53,6 +53,7 @@ std::vector<std::pair<std::string, TxConfig>> all_presets() {
       {"heap_w_tree", TxConfig::runtime_heap_w(AllocLogKind::kTree)},
       {"heap_w_array", TxConfig::runtime_heap_w(AllocLogKind::kArray)},
       {"heap_w_filter", TxConfig::runtime_heap_w(AllocLogKind::kFilter)},
+      {"heap_r_tree", TxConfig{.heap_read = true}},
       {"counting", TxConfig::counting()},
       // Online-adaptive structure selection: the policy may re-specialize
       // the plan mid-run (array → filter → tree → back), so these presets
@@ -72,19 +73,6 @@ std::vector<std::pair<std::string, TxConfig>> all_presets() {
   presets.emplace_back("durable_static", TxConfig::compiler().with_durable());
   presets.emplace_back("durable_rw_filter",
                        TxConfig::durable_rw(AllocLogKind::kFilter));
-  {
-    // Stack-write-only: no preset names it, so the plan compiles to the
-    // kGeneric per-access fallback.
-    TxConfig generic;
-    generic.stack_write = true;
-    presets.emplace_back("generic_stack_w", generic);
-  }
-  {
-    // Static elision combined with runtime checks: also kGeneric.
-    TxConfig generic = TxConfig::runtime_w(AllocLogKind::kArray);
-    generic.static_elision = true;
-    presets.emplace_back("generic_static_rt", generic);
-  }
   // Contention-manager cross: CM selection arbitrates WHO wins a conflict,
   // so on a conflict-free single-threaded run it must be invisible — any
   // digest divergence here means a CM leaked into committed state. A

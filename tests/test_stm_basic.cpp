@@ -2,7 +2,9 @@
 // write-after-write, allocator integration, capture elision fast paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <thread>
 
 #include "stm/stm.hpp"
@@ -18,79 +20,108 @@ class StmBasic : public ::testing::Test {
   }
 };
 
-// Every preset maps onto exactly the specialized barrier path its name
-// promises — checked at compile time, since BarrierPlan::compile is
-// constexpr. A preset silently landing on kGeneric would keep working but
-// lose the whole point of the plan refactor.
+// Every valid config compiles to a specialized barrier path — checked at
+// compile time, since BarrierPlan::compile is constexpr. The expectations
+// are written out as tables, independent of compile()'s enum arithmetic.
 namespace plan_checks {
-constexpr BarrierPlan kBaseline = BarrierPlan::compile(TxConfig::baseline());
-static_assert(kBaseline.read == BarrierPath::kFull &&
-              kBaseline.write == BarrierPath::kFull &&
-              kBaseline.log == ActiveLog::kNone);
+using AL = AllocLogKind;
+using BP = BarrierPath;
 
-constexpr BarrierPlan kRw =
-    BarrierPlan::compile(TxConfig::runtime_rw(AllocLogKind::kArray));
-static_assert(kRw.read == BarrierPath::kStackHeapPrivArray &&
-              kRw.write == BarrierPath::kStackHeapPrivArray &&
-              kRw.log == ActiveLog::kArray);
+struct Expect {
+  TxConfig cfg;
+  BarrierPath read, write;
+  ActiveLog log;
+};
 
-constexpr BarrierPlan kW =
-    BarrierPlan::compile(TxConfig::runtime_w(AllocLogKind::kFilter));
-static_assert(kW.read == BarrierPath::kFull &&
-              kW.write == BarrierPath::kStackHeapPrivFilter &&
-              kW.log == ActiveLog::kFilter);
+constexpr bool compiles_to(const Expect& e) {
+  const BarrierPlan p = BarrierPlan::compile(e.cfg);
+  return e.cfg.valid() && p.read == e.read && p.write == e.write &&
+         p.log == e.log;
+}
 
-constexpr BarrierPlan kHeapW =
-    BarrierPlan::compile(TxConfig::runtime_heap_w(AllocLogKind::kTree));
-static_assert(kHeapW.read == BarrierPath::kFull &&
-              kHeapW.write == BarrierPath::kHeapTree &&
-              kHeapW.log == ActiveLog::kTree);
+// The paper's presets land on the path their name promises. The kAdaptive
+// tag never reaches a barrier: an unresolved adaptive config compiles to
+// the policy's start state, the fully specialized ARRAY path.
+constexpr Expect kPresets[] = {
+    {TxConfig::baseline(), BP::kFull, BP::kFull, ActiveLog::kNone},
+    {TxConfig::runtime_rw(AL::kArray), BP::kStackHeapPrivArray,
+     BP::kStackHeapPrivArray, ActiveLog::kArray},
+    {TxConfig::runtime_w(AL::kFilter), BP::kFull, BP::kStackHeapPrivFilter,
+     ActiveLog::kFilter},
+    {TxConfig::runtime_heap_w(AL::kTree), BP::kFull, BP::kHeapTree,
+     ActiveLog::kTree},
+    {TxConfig::compiler(), BP::kStatic, BP::kStatic, ActiveLog::kNone},
+    {TxConfig::counting(), BP::kCounting, BP::kCounting, ActiveLog::kTree},
+    {TxConfig::runtime_heap_w(AL::kAdaptive), BP::kFull, BP::kHeapArray,
+     ActiveLog::kArray},
+    {TxConfig::adaptive(), BP::kStackHeapPrivArray, BP::kStackHeapPrivArray,
+     ActiveLog::kArray},
+};
+static_assert(std::ranges::all_of(kPresets, compiles_to));
 
-constexpr BarrierPlan kCompiler = BarrierPlan::compile(TxConfig::compiler());
-static_assert(kCompiler.read == BarrierPath::kStatic &&
-              kCompiler.write == BarrierPath::kStatic &&
-              kCompiler.log == ActiveLog::kNone);
+// Indexed by AllocLogKind; the adaptive tag resolves to the array.
+constexpr AL kLogs[] = {AL::kTree, AL::kArray, AL::kFilter, AL::kAdaptive};
+constexpr BP kStackHeapPriv[] = {
+    BP::kStackHeapPrivTree, BP::kStackHeapPrivArray, BP::kStackHeapPrivFilter,
+    BP::kStackHeapPrivArray};
+constexpr BP kHeapOnly[] = {BP::kHeapTree, BP::kHeapArray, BP::kHeapFilter,
+                            BP::kHeapArray};
+constexpr ActiveLog kActive[] = {ActiveLog::kTree, ActiveLog::kArray,
+                                 ActiveLog::kFilter, ActiveLog::kArray};
 
-constexpr BarrierPlan kCounting = BarrierPlan::compile(TxConfig::counting());
-static_assert(kCounting.read == BarrierPath::kCounting &&
-              kCounting.write == BarrierPath::kCounting &&
-              kCounting.log == ActiveLog::kTree);
-
-// The kAdaptive tag never reaches a barrier: compiling an unresolved
-// adaptive config yields the policy's start state — the fully specialized
-// ARRAY path, not kGeneric and not some new adaptive dispatch.
-constexpr BarrierPlan kAdaptiveStart =
-    BarrierPlan::compile(TxConfig::runtime_heap_w(AllocLogKind::kAdaptive));
-static_assert(kAdaptiveStart.read == BarrierPath::kFull &&
-              kAdaptiveStart.write == BarrierPath::kHeapArray &&
-              kAdaptiveStart.log == ActiveLog::kArray);
-
-constexpr BarrierPlan kAdaptiveRw = BarrierPlan::compile(TxConfig::adaptive());
-static_assert(kAdaptiveRw.read == BarrierPath::kStackHeapPrivArray &&
-              kAdaptiveRw.write == BarrierPath::kStackHeapPrivArray &&
-              kAdaptiveRw.log == ActiveLog::kArray);
+/// Every valid {heap_read, heap_write, stack_private} × log config, plus
+/// static and counting under every log; returns how many were checked, or
+/// -1 at the first config that compiles to the wrong plan.
+constexpr int check_all_valid_configs() {
+  int checked = 0;
+  for (int i = 0; i < 4; ++i) {
+    for (int bits = 0; bits < 8; ++bits) {
+      TxConfig c;
+      c.heap_read = (bits & 1) != 0;
+      c.heap_write = (bits & 2) != 0;
+      c.stack_private = (bits & 4) != 0;
+      c.alloc_log = kLogs[i];
+      if (!c.valid()) continue;  // stack_private without a heap check
+      const BP path = c.stack_private ? kStackHeapPriv[i] : kHeapOnly[i];
+      const bool any = c.heap_read || c.heap_write;
+      if (!compiles_to({c, c.heap_read ? path : BP::kFull,
+                        c.heap_write ? path : BP::kFull,
+                        any ? kActive[i] : ActiveLog::kNone})) {
+        return -1;
+      }
+      ++checked;
+    }
+    TxConfig st = TxConfig::compiler();
+    st.alloc_log = kLogs[i];
+    TxConfig count = TxConfig::counting();
+    count.alloc_log = kLogs[i];
+    if (!compiles_to({st, BP::kStatic, BP::kStatic, ActiveLog::kNone}) ||
+        !compiles_to({count, BP::kCounting, BP::kCounting, ActiveLog::kTree})) {
+      return -1;
+    }
+    checked += 2;
+  }
+  return checked;
+}
+static_assert(check_all_valid_configs() == 4 * (7 + 2));
 }  // namespace plan_checks
 
-TEST_F(StmBasic, OffPresetConfigFallsBackToGenericPath) {
-  // A hand-rolled combination no preset names (stack checks without heap)
-  // must land on the generic path and still elide correctly.
-  TxConfig cfg;
-  cfg.stack_write = true;
-  const BarrierPlan plan = BarrierPlan::compile(cfg);
-  EXPECT_EQ(plan.write, BarrierPath::kGeneric);
-  EXPECT_EQ(plan.read, BarrierPath::kFull);
-  EXPECT_EQ(plan.log, ActiveLog::kNone);
+TEST_F(StmBasic, MixedConfigsAreRejected) {
+  const TxConfig stack_only{.stack_private = true};
+  TxConfig static_runtime = TxConfig::runtime_w(AllocLogKind::kArray);
+  static_runtime.static_elision = true;
+  TxConfig counting_runtime = TxConfig::runtime_heap_w();
+  counting_runtime.count_mode = true;
+  TxConfig counting_static = TxConfig::compiler();
+  counting_static.count_mode = true;
 
-  set_global_config(cfg);
-  std::uint64_t observed = 0;
-  atomic([&](Tx& tx) {
-    std::uint64_t local[4] = {};
-    tm_write(tx, &local[1], std::uint64_t{9});
-    observed = local[1];
-  });
-  const TxStats s = stats_snapshot();
-  EXPECT_EQ(s.write_elided_stack, 1u);
-  EXPECT_EQ(observed, 9u);
+  set_global_config(TxConfig::runtime_heap_w());
+  EXPECT_THROW(set_global_config(stack_only), std::invalid_argument);
+  EXPECT_THROW(set_global_config(static_runtime), std::invalid_argument);
+  EXPECT_THROW(set_global_config(counting_runtime), std::invalid_argument);
+  EXPECT_THROW(set_global_config(counting_static), std::invalid_argument);
+  // A rejected config leaves the installed one in place.
+  atomic([&](Tx& tx) { EXPECT_EQ(tx.plan.write, BarrierPath::kHeapTree); });
 }
 
 TEST_F(StmBasic, PlanFollowsConfigChanges) {

@@ -219,6 +219,28 @@ TEST_F(TvarTest, NestedPartialAbortRestoresCapturedTfield) {
   EXPECT_EQ(observed, 100u);
 }
 
+TEST_F(TvarTest, NestedPartialAbortRestoresStaticallyElidedTfield) {
+  // Same live-in rule for the compiler's static elision: a statically
+  // elided store inside a nested transaction must be undone by its abort.
+  set_global_config(TxConfig::compiler());
+  struct Obj {
+    tfield<std::uint64_t, test_sites::kCaptured> a;
+  };
+  std::uint64_t observed = 0;
+  atomic([&](Tx& tx) {
+    Obj* o = tx_new<Obj>(tx);
+    o->a.set(tx, 100);  // statically elided
+    atomic([&](Tx& inner) {
+      o->a.set(inner, 999);  // statically elided + undo-logged at depth 2
+      abort_tx();
+    });
+    observed = o->a.get(tx);
+    tx_delete(tx, o);
+  });
+  EXPECT_EQ(observed, 100u);
+  EXPECT_EQ(stats_snapshot().write_elided_static, 2u);
+}
+
 // -- tvar_array --------------------------------------------------------------
 
 TEST_F(TvarTest, TvarArrayRoundTripAndZeroInit) {
