@@ -1,9 +1,11 @@
 // Reproduces Figure 11(a): improvement over baseline at 16 threads for the
-// runtime (tree) configurations and the compiler optimization.
+// runtime (tree) configurations and the compiler optimization. With --json
+// this writes the BENCH_fig11a.json record (harness record schema,
+// src/harness/experiment.hpp).
 //
-// With --scaling, runs the thread-count sweep instead (1,2,4,...,--threads)
-// and, combined with --json, emits the BENCH_scaling.json record for a
-// multi-core box to commit.
+// With --scaling, runs the thread-count sweep instead (1,2,4,...,--threads):
+// one row per app x config x thread count, the BENCH_scaling.json record for
+// a multi-core box to commit.
 #include <cstring>
 #include <vector>
 

@@ -2,23 +2,38 @@
 """Bench regression gate: fresh run vs the committed BENCH_*.json records.
 
 Runs scripts/bench_json.sh into a temporary directory (never touching the
-committed records) and compares every cell against the committed
-BENCH_fig10.json / BENCH_fig11.json:
+committed records) and pairs every committed BENCH_*.json with the fresh
+file of the same name. Every record has one schema, written by the harness
+(src/harness/experiment.hpp):
 
-  * baseline_seconds must agree within a x(1 +/- tolerance) ratio;
-  * per-config improvement percentages must agree within +/- tolerance
-    percentage points.
+  {"experiment": E, "scale": S, "reps": N, "seed": X,
+   "rows": [{"app": A, "config": C, "threads": T,
+             "samples": [seconds of every rep], "counters": {name: n}}]}
+
+Every row, keyed by (app, config, threads), gets the same rules:
+
+  1. the median of its samples must agree within a x(1 +/- tol) ratio;
+  2. if its app has a "baseline" row at the same thread count, its
+     improvement over that baseline must agree within +/- tol points;
+  3. on 1-thread rows every counter must agree within +/- tol % relative
+     (an absent counter is 0, so zero vs nonzero is a violation), and
+     adaptive_switches must match exactly: single-thread counters are a
+     deterministic property of the fixed-seed workload, so drift there
+     means behaviour changed, not the scheduler;
+  4. a committed row missing from the fresh run is a violation;
+  5. work check: a row with commits == 0 or a median under 100 us did not
+     measure real work. In the fresh run that is a violation.
 
 Default mode is ADVISORY: violations are printed loudly but the exit code
-stays 0, because the 1-core CI box is noisy (+/-10% run to run) and a
+stays 0, because a shared 1-core box is noisy (+/-10% run to run) and a
 scheduler hiccup must not turn the whole gate red. Pass --strict to make
 violations fatal (use on quiet hardware, or when chasing a suspected
 regression).
 
-A malformed committed BENCH_*.json (unparseable JSON, or a record missing
-its required schema keys) is fatal EVEN in advisory mode: advisory exists
-to absorb scheduler noise on shared runners, and a corrupt committed
-record is repo corruption, not noise.
+A malformed committed record is fatal EVEN in advisory mode: unparseable
+JSON, a schema violation, or a row failing the work check of rule 5.
+Advisory exists to absorb scheduler noise, and a committed record that is
+corrupt or measured no work is repo corruption, not noise.
 
 Usage: scripts/bench_gate.py [--strict] [--tolerance PCT] [--skip-run]
                              [--report-out PATH]
@@ -30,13 +45,17 @@ Usage: scripts/bench_gate.py [--strict] [--tolerance PCT] [--skip-run]
 """
 
 import argparse
+import glob
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+MIN_SECONDS = 100e-6  # rule 5: a timed region shorter than this is noise
 
 
 class MalformedRecord(Exception):
@@ -60,241 +79,123 @@ class _Tee:
             st.flush()
 
 
-def load(path):
-    with open(path) as f:
-        return json.load(f)
+def row_key(row):
+    return (row["app"], row["config"], row["threads"])
 
 
-def load_committed(path, required_keys):
-    """Loads a committed record, raising MalformedRecord (fatal in every
-    mode) on parse errors or missing schema keys."""
+def row_name(key):
+    return f"{key[0]}/{key[1]}@{key[2]}T"
+
+
+def work_problem(row):
+    """Rule 5: why @p row did not measure real work, or None."""
+    if row["counters"].get("commits", 0) == 0:
+        return "commits == 0"
+    median = statistics.median(row["samples"])
+    if median < MIN_SECONDS:
+        return f"median {median * 1e6:.1f} us < {MIN_SECONDS * 1e6:.0f} us"
+    return None
+
+
+def load_record(path, work_floor=True):
+    """Loads and schema-checks one record, raising MalformedRecord on parse
+    errors, schema errors and (with @p work_floor) rows failing rule 5."""
+    name = os.path.basename(path)
     try:
-        rec = load(path)
+        with open(path) as f:
+            rec = json.load(f)
     except (json.JSONDecodeError, OSError, UnicodeDecodeError) as e:
-        raise MalformedRecord(f"{os.path.basename(path)}: {e}")
-    if not isinstance(rec, dict):
-        raise MalformedRecord(
-            f"{os.path.basename(path)}: top level is {type(rec).__name__}, "
-            "expected an object")
-    missing = [k for k in required_keys if k not in rec]
-    if missing:
-        raise MalformedRecord(
-            f"{os.path.basename(path)}: missing required key(s) "
-            f"{', '.join(missing)}")
+        raise MalformedRecord(f"{name}: {e}")
+
+    def check(ok, what):
+        if not ok:
+            raise MalformedRecord(f"{name}: {what}")
+
+    check(isinstance(rec, dict), "top level is not an object")
+    for k, t in (("experiment", str), ("scale", (int, float)),
+                 ("reps", int), ("seed", int), ("rows", list)):
+        check(isinstance(rec.get(k), t), f"missing or mistyped '{k}'")
+    seen = set()
+    for row in rec["rows"]:
+        check(isinstance(row, dict), "a row is not an object")
+        for k, t in (("app", str), ("config", str), ("threads", int),
+                     ("samples", list), ("counters", dict)):
+            check(isinstance(row.get(k), t), f"row lacks '{k}': {row}")
+        key = row_key(row)
+        check(key not in seen, f"duplicate row {row_name(key)}")
+        seen.add(key)
+        check(len(row["samples"]) == rec["reps"] and
+              all(isinstance(s, (int, float)) for s in row["samples"]),
+              f"{row_name(key)}: samples are not {rec['reps']} numbers")
+        check(all(isinstance(v, int) for v in row["counters"].values()),
+              f"{row_name(key)}: counters are not integers")
+        if work_floor:
+            problem = work_problem(row)
+            check(problem is None, f"{row_name(key)} did no work: {problem}")
     return rec
 
 
-def compare_scaling(committed, fresh, tolerance, violations, lines):
-    """Advisory comparison of BENCH_scaling.json records.
+def compare(name, committed, fresh, tolerance, work_floor=True):
+    """Applies rules 1-5 to every committed row of one record; returns
+    (violations, report lines)."""
+    tol = tolerance / 100.0
+    violations, lines = [], []
+    crows = {row_key(r): r for r in committed["rows"]}
+    frows = {row_key(r): r for r in fresh["rows"]}
 
-    Schema (written by `bench_fig11a_scal_configs --scaling --json ...`):
-      {"experiment": "scaling", "scale": S, "reps": N, "seed": X,
-       "threads": [1, 2, ...],
-       "rows": [{"app": "...", "config": "...", "seconds": [...]}, ...]}
+    def improvement(rows, key):
+        base = rows.get((key[0], "baseline", key[2]))
+        if base is None or key[1] == "baseline":
+            return None
+        return (statistics.median(base["samples"]) /
+                statistics.median(rows[key]["samples"]) - 1.0) * 100.0
 
-    Each (app, config) row's per-thread-count seconds must agree within the
-    same ratio tolerance as the baseline comparison. Thread-count lists
-    must match exactly — a sweep recorded on a different box shape is a
-    different experiment, not a regression.
-    """
-    if committed.get("threads") != fresh.get("threads"):
-        violations.append(
-            f"scaling: thread counts differ (committed {committed.get('threads')}"
-            f" vs fresh {fresh.get('threads')}); record both on the same box"
-        )
-        return
-    counts = committed.get("threads", [])
-    committed_rows = {(r["app"], r["config"]): r for r in committed["rows"]}
-    fresh_rows = {(r["app"], r["config"]): r for r in fresh["rows"]}
-    for key, crow in committed_rows.items():
-        frow = fresh_rows.get(key)
-        app_cfg = f"{key[0]}/{key[1]}"
+    for key, crow in crows.items():
+        cell = f"{name}/{row_name(key)}"
+        frow = frows.get(key)
         if frow is None:
-            violations.append(f"scaling/{app_cfg}: missing from fresh run")
+            violations.append(f"{cell}: missing from fresh run")
             continue
-        for t, csec, fsec in zip(counts, crow["seconds"], frow["seconds"]):
-            ratio = fsec / csec if csec > 0 else float("inf")
-            ok = 1.0 / (1.0 + tolerance / 100.0) <= ratio <= 1.0 + tolerance / 100.0
-            if not ok:
+        problem = work_problem(frow) if work_floor else None
+        if problem is not None:
+            violations.append(f"{cell}: did no work ({problem})")
+        cmed = statistics.median(crow["samples"])
+        fmed = statistics.median(frow["samples"])
+        ratio = fmed / cmed if cmed > 0 else float("inf")
+        if not 1.0 / (1.0 + tol) <= ratio <= 1.0 + tol:
+            violations.append(f"{cell}: median {fmed:.6f}s vs committed "
+                              f"{cmed:.6f}s (x{ratio:.2f})")
+        line = f"  {cell:45s} {cmed:9.6f}s -> {fmed:9.6f}s (x{ratio:.2f})"
+        cimp, fimp = improvement(crows, key), improvement(frows, key)
+        if cimp is not None and fimp is not None:
+            if abs(fimp - cimp) > tolerance:
                 violations.append(
-                    f"scaling/{app_cfg}@{t}T: {fsec:.4f}s vs committed "
-                    f"{csec:.4f}s (x{ratio:.2f})"
-                )
-            lines.append(
-                f"  scaling  {app_cfg:27s} {t:3d}T "
-                f"{csec:8.4f}s -> {fsec:8.4f}s  (x{ratio:.2f})"
-            )
-
-
-def compare_txbatch(committed, fresh, tolerance, violations, lines):
-    """Advisory comparison of BENCH_txbatch.json records.
-
-    Schema (written by `bench_txbatch_stream --json ...`):
-      {"experiment": "txbatch", "scale": S, "threads": T, "reps": N,
-       "seed": X, "batch_sizes": [1, 4, 16, 64],
-       "rows": [{"app": "...", "batch": B, "seconds": ...,
-                 "capture_hit_percent": ..., ...}, ...]}
-
-    Per (app, batch) cell: seconds within the ratio tolerance, and
-    capture_hit_percent within +/- tolerance points. The capture curve is a
-    deterministic property of the workload, so drifts there mean the merge
-    layer or the elision machinery changed behaviour, not the scheduler.
-    """
-    if committed.get("batch_sizes") != fresh.get("batch_sizes"):
-        violations.append(
-            f"txbatch: batch sizes differ (committed "
-            f"{committed.get('batch_sizes')} vs fresh {fresh.get('batch_sizes')})"
-        )
-        return
-    committed_rows = {(r["app"], r["batch"]): r for r in committed["rows"]}
-    fresh_rows = {(r["app"], r["batch"]): r for r in fresh["rows"]}
-    for key, crow in committed_rows.items():
-        frow = fresh_rows.get(key)
-        cell = f"{key[0]}@{key[1]}"
-        if frow is None:
-            violations.append(f"txbatch/{cell}: missing from fresh run")
-            continue
-        csec, fsec = crow["seconds"], frow["seconds"]
-        ratio = fsec / csec if csec > 0 else float("inf")
-        ok = 1.0 / (1.0 + tolerance / 100.0) <= ratio <= 1.0 + tolerance / 100.0
-        if not ok:
-            violations.append(
-                f"txbatch/{cell}: {fsec:.4f}s vs committed {csec:.4f}s "
-                f"(x{ratio:.2f})"
-            )
-        chit, fhit = crow["capture_hit_percent"], frow["capture_hit_percent"]
-        if abs(fhit - chit) > tolerance:
-            violations.append(
-                f"txbatch/{cell}: capture-hit {fhit:.1f}% vs committed "
-                f"{chit:.1f}% (delta {fhit - chit:+.1f} points)"
-            )
-        lines.append(
-            f"  txbatch  {cell:20s} {csec:8.4f}s -> {fsec:8.4f}s  "
-            f"(x{ratio:.2f})  cap-hit {chit:5.1f}% -> {fhit:5.1f}%"
-        )
-
-
-def compare_adaptive_profiles(committed, fresh, violations, lines):
-    """Advisory comparison of BENCH_adaptive.json policy profiles.
-
-    The record is speedup_table-shaped (same row schema as fig10/fig11b, so
-    the seconds/improvement columns go through compare_rows) plus a per-app
-    "adaptive_profile" object describing what the online policy decided.
-    The switch count is compared exactly: the decision sequence is a
-    deterministic property of the workload, so a different count means the
-    policy (or a signal feeding it) changed behaviour, not the scheduler.
-    """
-    committed_rows = {r["app"]: r for r in committed["rows"]}
-    fresh_rows = {r["app"]: r for r in fresh["rows"]}
-    for app, crow in committed_rows.items():
-        cprof = crow.get("adaptive_profile")
-        frow = fresh_rows.get(app)
-        if cprof is None or frow is None:
-            continue
-        fprof = frow.get("adaptive_profile")
-        if fprof is None:
-            violations.append(f"adaptive/{app}: profile missing from fresh run")
-            continue
-        csw, fsw = cprof["switches"], fprof["switches"]
-        if csw != fsw:
-            violations.append(
-                f"adaptive/{app}: policy made {fsw} switch(es) vs committed "
-                f"{csw} — decision sequence changed"
-            )
-        lines.append(
-            f"  adaptive {app:15s} switches {csw:3d} -> {fsw:3d}  "
-            f"ovf {cprof['array_overflow_percent']:5.1f}% -> "
-            f"{fprof['array_overflow_percent']:5.1f}%"
-        )
-
-
-def compare_durable(committed, fresh, tolerance, violations, lines):
-    """Advisory comparison of BENCH_durable.json records.
-
-    Schema (written by `bench_durable --json ...`):
-      {"experiment": "durable", "scale": S, "threads": T, "reps": N,
-       "seed": X,
-       "rows": [{"app": "...", "nondurable_seconds": ...,
-                 "durable_seconds": ..., "flushes_elided_percent": ...,
-                 "pwbs": ..., "pwbs_nocapture": ..., ...}, ...]}
-
-    Seconds columns are ratio-compared like every other timing cell.
-    flushes_elided_percent is compared within +/- tolerance points: the
-    elision ratio is a deterministic property of capture analysis on a
-    fixed-seed workload, so drift there means the elision rule (or the
-    capture machinery feeding it) changed behaviour, not the scheduler.
-    """
-    committed_rows = {r["app"]: r for r in committed["rows"]}
-    fresh_rows = {r["app"]: r for r in fresh["rows"]}
-    for app, crow in committed_rows.items():
-        frow = fresh_rows.get(app)
-        if frow is None:
-            violations.append(f"durable/{app}: missing from fresh run")
-            continue
-        for col in ("nondurable_seconds", "durable_seconds",
-                    "durable_nocapture_seconds"):
-            csec, fsec = crow[col], frow[col]
-            ratio = fsec / csec if csec > 0 else float("inf")
-            ok = 1.0 / (1.0 + tolerance / 100.0) <= ratio <= 1.0 + tolerance / 100.0
-            if not ok:
-                violations.append(
-                    f"durable/{app}/{col}: {fsec:.4f}s vs committed "
-                    f"{csec:.4f}s (x{ratio:.2f})"
-                )
-        celide, felide = (crow["flushes_elided_percent"],
-                          frow["flushes_elided_percent"])
-        if abs(felide - celide) > tolerance:
-            violations.append(
-                f"durable/{app}: flushes-elided {felide:.1f}% vs committed "
-                f"{celide:.1f}% (delta {felide - celide:+.1f} points)"
-            )
-        lines.append(
-            f"  durable  {app:15s} {crow['durable_seconds']:8.4f}s -> "
-            f"{frow['durable_seconds']:8.4f}s  elided "
-            f"{celide:5.1f}% -> {felide:5.1f}%"
-        )
-
-
-def compare_rows(name, committed, fresh, tolerance, violations, lines):
-    committed_rows = {r["app"]: r for r in committed["rows"]}
-    fresh_rows = {r["app"]: r for r in fresh["rows"]}
-    for app, crow in committed_rows.items():
-        frow = fresh_rows.get(app)
-        if frow is None:
-            violations.append(f"{name}/{app}: missing from fresh run")
-            continue
-        cbase, fbase = crow["baseline_seconds"], frow["baseline_seconds"]
-        ratio = fbase / cbase if cbase > 0 else float("inf")
-        base_ok = 1.0 / (1.0 + tolerance / 100.0) <= ratio <= 1.0 + tolerance / 100.0
-        if not base_ok:
-            violations.append(
-                f"{name}/{app}: baseline {fbase:.4f}s vs committed "
-                f"{cbase:.4f}s (x{ratio:.2f})"
-            )
-        for cfg, cimp in crow["improvement_percent"].items():
-            fimp = frow["improvement_percent"].get(cfg)
-            if fimp is None:
-                violations.append(f"{name}/{app}/{cfg}: missing config")
-                continue
-            delta = fimp - cimp
-            if abs(delta) > tolerance:
-                violations.append(
-                    f"{name}/{app}/{cfg}: improvement {fimp:+.1f}% vs "
-                    f"committed {cimp:+.1f}% (delta {delta:+.1f} points)"
-                )
-            lines.append(
-                f"  {name:8s} {app:15s} {cfg:18s} "
-                f"{cimp:+8.1f}% -> {fimp:+8.1f}%  ({delta:+6.1f})"
-            )
+                    f"{cell}: improvement {fimp:+.1f}% vs committed "
+                    f"{cimp:+.1f}% (delta {fimp - cimp:+.1f} points)")
+            line += f"  improvement {cimp:+7.1f}% -> {fimp:+7.1f}%"
+        if key[2] == 1:
+            cc, fc = crow["counters"], frow["counters"]
+            for counter in sorted(set(cc) | set(fc)):
+                c, f = cc.get(counter, 0), fc.get(counter, 0)
+                if counter == "adaptive_switches":
+                    bad = c != f
+                else:
+                    bad = (c == 0) != (f == 0) or abs(f - c) > tol * c
+                if bad:
+                    violations.append(
+                        f"{cell}: counter {counter} {f} vs committed {c}")
+        lines.append(line)
+    return violations, lines
 
 
 def run(args):
-    committed10 = os.path.join(REPO, "BENCH_fig10.json")
-    committed11 = os.path.join(REPO, "BENCH_fig11.json")
-    for p in (committed10, committed11):
-        if not os.path.exists(p):
-            print(f"bench_gate: no committed record {p}; nothing to gate")
-            return 0
+    committed = sorted(glob.glob(os.path.join(REPO, "BENCH_*.json")))
+    if not committed:
+        print("bench_gate: no committed BENCH_*.json; nothing to gate")
+        return 0
+    # Load every committed record first: a malformed one is fatal before
+    # the long fresh run starts.
+    records = {os.path.basename(p): load_record(p) for p in committed}
 
     tmp_ctx = None
     if args.skip_run:
@@ -309,97 +210,29 @@ def run(args):
             check=True, cwd=REPO, env=env,
         )
 
-    fresh10 = load(os.path.join(out_dir, "BENCH_fig10.json"))
-    fresh11 = load(os.path.join(out_dir, "BENCH_fig11.json"))
-    c10 = load_committed(committed10, ("rows",))
-    c11 = load_committed(committed11, ("fig11a", "fig11b"))
-    for part in ("fig11a", "fig11b"):
-        if not isinstance(c11[part], dict) or "rows" not in c11[part]:
-            raise MalformedRecord(
-                f"BENCH_fig11.json: '{part}' lacks a 'rows' table")
-
     violations, lines = [], []
-    compare_rows("fig10", c10, fresh10, args.tolerance, violations, lines)
-    compare_rows("fig11a", c11["fig11a"], fresh11["fig11a"], args.tolerance,
-                 violations, lines)
-    compare_rows("fig11b", c11["fig11b"], fresh11["fig11b"], args.tolerance,
-                 violations, lines)
+    for name, crec in records.items():
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            violations.append(f"{name}: missing from fresh run")
+            continue
+        try:
+            frec = load_record(path, work_floor=False)
+        except MalformedRecord as e:
+            violations.append(f"fresh record malformed: {e}")
+            continue
+        v, l = compare(os.path.splitext(name)[0], crec, frec, args.tolerance)
+        violations += v
+        lines += l
 
-    # BENCH_scaling.json is optional until a multi-core box records it: the
-    # schema is wired now so that first session only has to run the sweep.
-    committed_scaling = os.path.join(REPO, "BENCH_scaling.json")
-    fresh_scaling = os.path.join(out_dir, "BENCH_scaling.json")
-    if os.path.exists(committed_scaling):
-        if os.path.exists(fresh_scaling):
-            compare_scaling(
-                load_committed(committed_scaling, ("threads", "rows")),
-                load(fresh_scaling), args.tolerance, violations, lines)
-        else:
-            print("bench_gate: committed BENCH_scaling.json present but the "
-                  "fresh run produced none; skipping (advisory)")
-    else:
-        print("bench_gate: no committed BENCH_scaling.json (expected until a "
-              "multi-core box records one); skipping scaling comparison")
-
-    # BENCH_txbatch.json is compared advisorily, like the scaling record:
-    # the merge-factor sweep lives or dies by its capture curve, which is
-    # deterministic, but the seconds column shares the 1-core box's noise.
-    committed_txbatch = os.path.join(REPO, "BENCH_txbatch.json")
-    fresh_txbatch = os.path.join(out_dir, "BENCH_txbatch.json")
-    if os.path.exists(committed_txbatch):
-        if os.path.exists(fresh_txbatch):
-            compare_txbatch(
-                load_committed(committed_txbatch, ("batch_sizes", "rows")),
-                load(fresh_txbatch), args.tolerance, violations, lines)
-        else:
-            print("bench_gate: committed BENCH_txbatch.json present but the "
-                  "fresh run produced none; skipping (advisory)")
-    else:
-        print("bench_gate: no committed BENCH_txbatch.json; skipping txbatch "
-              "comparison")
-
-    # BENCH_adaptive.json is the online-policy record: speedup columns plus
-    # a per-app decision profile. Advisory like the others — optional until
-    # the first session records it.
-    committed_adaptive = os.path.join(REPO, "BENCH_adaptive.json")
-    fresh_adaptive = os.path.join(out_dir, "BENCH_adaptive.json")
-    if os.path.exists(committed_adaptive):
-        if os.path.exists(fresh_adaptive):
-            ca = load_committed(committed_adaptive, ("rows",))
-            fa = load(fresh_adaptive)
-            compare_rows("adaptive", ca, fa, args.tolerance, violations, lines)
-            compare_adaptive_profiles(ca, fa, violations, lines)
-        else:
-            print("bench_gate: committed BENCH_adaptive.json present but the "
-                  "fresh run produced none; skipping (advisory)")
-    else:
-        print("bench_gate: no committed BENCH_adaptive.json; skipping "
-              "adaptive comparison")
-
-    # BENCH_durable.json: timing ratios plus the deterministic
-    # flushes-elided column. Advisory and optional, like its siblings.
-    committed_durable = os.path.join(REPO, "BENCH_durable.json")
-    fresh_durable = os.path.join(out_dir, "BENCH_durable.json")
-    if os.path.exists(committed_durable):
-        if os.path.exists(fresh_durable):
-            compare_durable(load_committed(committed_durable, ("rows",)),
-                            load(fresh_durable), args.tolerance, violations,
-                            lines)
-        else:
-            print("bench_gate: committed BENCH_durable.json present but the "
-                  "fresh run produced none; skipping (advisory)")
-    else:
-        print("bench_gate: no committed BENCH_durable.json; skipping "
-              "durable comparison")
-
-    print("bench_gate: committed -> fresh improvement percentages:")
+    print("bench_gate: committed -> fresh medians (and improvements):")
     print("\n".join(lines))
     if tmp_ctx is not None:
         tmp_ctx.cleanup()
 
     if violations:
         print("!" * 64)
-        print(f"bench_gate: {len(violations)} cell(s) outside the "
+        print(f"bench_gate: {len(violations)} violation(s) outside the "
               f"+/-{args.tolerance:g} tolerance:")
         for v in violations:
             print(f"!!! {v}")
@@ -410,7 +243,7 @@ def run(args):
               "build; rerun with --strict to enforce")
         return 0
 
-    print(f"bench_gate: all cells within +/-{args.tolerance:g}; green")
+    print(f"bench_gate: all rows within +/-{args.tolerance:g}; green")
     return 0
 
 

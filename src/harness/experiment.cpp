@@ -2,10 +2,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <algorithm>
 #include <cstring>
+#include <numeric>
+#include <random>
 #include <string>
 
 #include "durable/durable_heap.hpp"
@@ -61,11 +63,15 @@ Options parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
+  if (opt.reps < 1 || opt.threads < 1) {
+    std::fprintf(stderr, "--reps and --threads must be at least 1\n");
+    std::exit(2);
+  }
   return opt;
 }
 
 RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
-                   const Options& opt) {
+                   const Options& opt, std::size_t batch) {
   set_global_config(cfg);
   auto instance = stamp::make_app(app);
   stamp::AppParams params;
@@ -74,7 +80,9 @@ RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
   params.scale = opt.scale;
   stats_reset();
   RunResult result;
-  result.seconds = stamp::run_app(*instance, params);
+  result.seconds = batch == 0
+                       ? stamp::run_app(*instance, params)
+                       : stamp::run_app_stream(*instance, params, batch);
   result.stats = stats_snapshot();
   set_global_config(TxConfig::baseline());
   return result;
@@ -92,27 +100,153 @@ std::vector<std::pair<std::string, TxConfig>> table_configs() {
 
 namespace {
 
+/// One measured cell: @p app under @p cfg at @p threads (and @p batch, as in
+/// run_once). @p config is the record label; a swept value other than the
+/// thread count goes into it (txbatch's "batch-16").
+struct Cell {
+  std::string app;
+  std::string config;
+  TxConfig cfg;
+  int threads = 1;
+  std::size_t batch = 0;
+};
+
+struct Row {
+  Cell cell;
+  std::vector<double> samples;  // seconds of every rep, in run order
+  TxStats counters;             // the last rep's statistics
+
+  double median() const {
+    std::vector<double> s = samples;
+    std::sort(s.begin(), s.end());
+    const std::size_t n = s.size();
+    return n % 2 == 1 ? s[n / 2] : (s[n / 2 - 1] + s[n / 2]) / 2.0;
+  }
+};
+
+/// Runs every cell opt.reps times, rep by rep: each rep runs every cell once,
+/// in an order shuffled from opt.seed, so drift spreads over all cells
+/// instead of landing on whichever ran last. Returns one row per cell, in
+/// @p cells order.
+std::vector<Row> run_cells(const std::vector<Cell>& cells, const Options& opt) {
+  std::vector<Row> rows;
+  rows.reserve(cells.size());
+  for (const Cell& c : cells) rows.push_back(Row{c, {}, {}});
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::mt19937_64 rng(opt.seed);
+  for (int r = 0; r < opt.reps; ++r) {
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const std::size_t i : order) {
+      const Cell& c = cells[i];
+      const RunResult res = run_once(c.app, c.threads, c.cfg, opt, c.batch);
+      rows[i].samples.push_back(res.seconds);
+      rows[i].counters = res.stats;
+    }
+  }
+  return rows;
+}
+
+/// Writes @p rows as the @p experiment record (schema in experiment.hpp) to
+/// @p path via path.tmp and a rename, so an interrupted run never leaves a
+/// truncated record. Exits the process if the file cannot be written.
+void write_record(const std::string& path, const char* experiment,
+                  const Options& opt, const std::vector<Row>& rows) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", tmp.c_str());
+    std::exit(1);
+  }
+  std::fprintf(f,
+               "{\n  \"experiment\": \"%s\",\n  \"scale\": %g,\n"
+               "  \"reps\": %d,\n  \"seed\": %llu,\n  \"rows\": [",
+               experiment, opt.scale, opt.reps,
+               static_cast<unsigned long long>(opt.seed));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Row& row = rows[i];
+    std::fprintf(f,
+                 "%s\n    {\"app\": \"%s\", \"config\": \"%s\", "
+                 "\"threads\": %d, \"samples\": [",
+                 i == 0 ? "" : ",", row.cell.app.c_str(),
+                 row.cell.config.c_str(), row.cell.threads);
+    for (std::size_t r = 0; r < row.samples.size(); ++r) {
+      std::fprintf(f, "%s%.9f", r == 0 ? "" : ", ", row.samples[r]);
+    }
+    std::fprintf(f, "], \"counters\": {");
+    const char* sep = "";
+    row.counters.for_each_counter([&](const char* name, std::uint64_t value) {
+      if (value == 0) return;
+      std::fprintf(f, "%s\"%s\": %llu", sep, name,
+                   static_cast<unsigned long long>(value));
+      sep = ", ";
+    });
+    std::fprintf(f, "}}");
+  }
+  std::fprintf(f, "\n  ]\n}\n");
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::remove(tmp.c_str());
+    std::exit(1);
+  }
+  std::printf("# wrote %s\n", path.c_str());
+}
+
 double pct(std::uint64_t part, std::uint64_t whole) {
   return whole == 0 ? 0.0 : 100.0 * static_cast<double>(part) /
                                 static_cast<double>(whole);
 }
 
-double median_seconds(const std::string& app, int threads, const TxConfig& cfg,
-                      const Options& opt, TxStats* stats_out = nullptr) {
-  std::vector<double> times;
-  TxStats last;
-  for (int r = 0; r < opt.reps; ++r) {
-    const RunResult res = run_once(app, threads, cfg, opt);
-    times.push_back(res.seconds);
-    last = res.stats;
-  }
-  std::sort(times.begin(), times.end());
-  if (stats_out != nullptr) *stats_out = last;
-  return times[times.size() / 2];
+/// Runs @p cells and, when --json is given, records them as @p experiment.
+std::vector<Row> measure(const char* experiment, const std::vector<Cell>& cells,
+                         const Options& opt) {
+  std::vector<Row> rows = run_cells(cells, opt);
+  if (!opt.json.empty()) write_record(opt.json, experiment, opt, rows);
+  return rows;
 }
 
-void print_speedup_header() {
+const Row& find_row(const std::vector<Row>& rows, const std::string& app,
+                    const std::string& config, int threads) {
+  for (const Row& r : rows) {
+    if (r.cell.app == app && r.cell.config == config &&
+        r.cell.threads == threads) {
+      return r;
+    }
+  }
+  std::fprintf(stderr, "no row %s/%s@%d\n", app.c_str(), config.c_str(),
+               threads);
+  std::abort();
+}
+
+/// Measures every app under "baseline" and each of @p configs at @p threads,
+/// prints the app x config improvement-over-baseline table and returns the
+/// rows.
+std::vector<Row> speedup_table(
+    const char* experiment, const Options& opt, int threads,
+    const std::vector<std::pair<std::string, TxConfig>>& configs) {
+  std::vector<Cell> cells;
+  for (const auto& app : stamp::app_names()) {
+    cells.push_back({app, "baseline", TxConfig::baseline(), threads});
+    for (const auto& [name, cfg] : configs) {
+      cells.push_back({app, name, cfg, threads});
+    }
+  }
+  const std::vector<Row> rows = measure(experiment, cells, opt);
   std::printf("%-15s", "app");
+  for (const auto& [name, cfg] : configs) std::printf(" %14s", name.c_str());
+  std::printf("\n");
+  for (const auto& app : stamp::app_names()) {
+    const Row& base = find_row(rows, app, "baseline", threads);
+    std::printf("%-15s", app.c_str());
+    for (const auto& [name, cfg] : configs) {
+      const Row& row = find_row(rows, app, name, threads);
+      std::printf(" %13.1f%%", (base.median() / row.median() - 1.0) * 100.0);
+    }
+    std::printf("  (baseline %.4fs)\n", base.median());
+  }
+  return rows;
 }
 
 }  // namespace
@@ -180,65 +314,6 @@ void fig9_removed(const Options& opt) {
   }
 }
 
-namespace {
-
-/// Prints the app x config improvement table and, when opt.json is set,
-/// writes the same data as machine-readable JSON (one object per app with
-/// baseline seconds and per-config improvement percentages). The JSON is
-/// the perf-trajectory record format consumed by scripts/bench_json.sh.
-void speedup_table(const char* experiment, const Options& opt, int threads,
-                   const std::vector<std::pair<std::string, TxConfig>>& configs) {
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"%s\",\n  \"scale\": %g,\n"
-                 "  \"threads\": %d,\n  \"reps\": %d,\n  \"seed\": %llu,\n"
-                 "  \"rows\": [",
-                 experiment, opt.scale, threads, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-  }
-  print_speedup_header();
-  for (const auto& [name, cfg] : configs) std::printf(" %14s", name.c_str());
-  std::printf("\n");
-  bool first_row = true;
-  for (const auto& app : stamp::app_names()) {
-    const double base = median_seconds(app, threads, TxConfig::baseline(), opt);
-    std::printf("%-15s", app.c_str());
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"app\": \"%s\", \"baseline_seconds\": %.6f, "
-                   "\"improvement_percent\": {",
-                   first_row ? "" : ",", app.c_str(), base);
-      first_row = false;
-    }
-    bool first_cfg = true;
-    for (const auto& [name, cfg] : configs) {
-      const double t = median_seconds(app, threads, cfg, opt);
-      const double improvement = (base / t - 1.0) * 100.0;
-      std::printf(" %13.1f%%", improvement);
-      if (json != nullptr) {
-        std::fprintf(json, "%s\"%s\": %.2f", first_cfg ? "" : ", ",
-                     name.c_str(), improvement);
-        first_cfg = false;
-      }
-    }
-    std::printf("  (baseline %.4fs)\n", base);
-    if (json != nullptr) std::fprintf(json, "}}");
-  }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
-  }
-}
-
-}  // namespace
-
 void fig10_single_thread(const Options& opt) {
   analysis_stats();
   std::printf("# Figure 10: performance improvement over baseline at 1 thread\n");
@@ -261,11 +336,11 @@ void fig11a_configs(const Options& opt) {
 }
 
 void fig11a_scaling(const Options& opt) {
-  // Thread-count sweep for the fig11 contenders: raw seconds (not
+  // Thread-count sweep for the fig11 contenders: median seconds (not
   // improvement) per app x config x thread count, so a multi-core box can
   // record BENCH_scaling.json and the gate can compare shapes, not just
-  // endpoints. On the 1-core CI box this only demonstrates the schema —
-  // every "scaling" curve is flat-to-degrading under oversubscription.
+  // endpoints. On a 1-core box every "scaling" curve is flat-to-degrading
+  // under oversubscription.
   std::vector<int> counts;
   for (int t = 1; t <= opt.threads; t *= 2) counts.push_back(t);
   if (counts.empty() || counts.back() != opt.threads) {
@@ -276,54 +351,25 @@ void fig11a_scaling(const Options& opt) {
       {"rt-heap-W", TxConfig::runtime_heap_w(AllocLogKind::kTree)},
       {"compiler", TxConfig::compiler()},
   };
+  std::vector<Cell> cells;
+  for (const auto& app : stamp::app_names()) {
+    for (const auto& [name, cfg] : configs) {
+      for (int t : counts) cells.push_back({app, name, cfg, t});
+    }
+  }
+  const std::vector<Row> rows = measure("scaling", cells, opt);
   std::printf("# Scaling sweep: median seconds per app/config across thread counts\n");
   std::printf("%-15s %-12s", "app", "config");
   for (int t : counts) std::printf(" %8dT", t);
   std::printf("\n");
-
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"scaling\",\n  \"scale\": %g,\n"
-                 "  \"reps\": %d,\n  \"seed\": %llu,\n  \"threads\": [",
-                 opt.scale, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      std::fprintf(json, "%s%d", i == 0 ? "" : ", ", counts[i]);
-    }
-    std::fprintf(json, "],\n  \"rows\": [");
-  }
-  bool first_row = true;
   for (const auto& app : stamp::app_names()) {
     for (const auto& [name, cfg] : configs) {
       std::printf("%-15s %-12s", app.c_str(), name.c_str());
-      if (json != nullptr) {
-        std::fprintf(json, "%s\n    {\"app\": \"%s\", \"config\": \"%s\", \"seconds\": [",
-                     first_row ? "" : ",", app.c_str(), name.c_str());
-        first_row = false;
-      }
-      bool first_t = true;
       for (int t : counts) {
-        const double secs = median_seconds(app, t, cfg, opt);
-        std::printf(" %8.4fs", secs);
-        if (json != nullptr) {
-          std::fprintf(json, "%s%.6f", first_t ? "" : ", ", secs);
-          first_t = false;
-        }
+        std::printf(" %8.4fs", find_row(rows, app, name, t).median());
       }
       std::printf("\n");
-      if (json != nullptr) std::fprintf(json, "]}");
     }
-  }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
   }
 }
 
@@ -373,29 +419,6 @@ void table2_variance(const Options& opt) {
   }
 }
 
-namespace {
-
-/// run_once's streaming twin: same config install / stats-reset protocol,
-/// but the workload is replayed through txbatch::Batcher at @p batch.
-RunResult run_stream_once(const std::string& app, int threads,
-                          std::size_t batch, const TxConfig& cfg,
-                          const Options& opt, std::uint64_t* requests_out) {
-  set_global_config(cfg);
-  auto instance = stamp::make_app(app);
-  stamp::AppParams params;
-  params.threads = threads;
-  params.seed = opt.seed;
-  params.scale = opt.scale;
-  stats_reset();
-  RunResult result;
-  result.seconds = stamp::run_app_stream(*instance, params, batch, requests_out);
-  result.stats = stats_snapshot();
-  set_global_config(TxConfig::baseline());
-  return result;
-}
-
-}  // namespace
-
 void txbatch_stream(const Options& opt) {
   // The merge layer's one job: make a larger fraction of each transaction's
   // footprint CAPTURED. Run under the runtime stack+heap config with the
@@ -417,83 +440,37 @@ void txbatch_stream(const Options& opt) {
   } else {
     batches = {1, 4, 16, 64};
   }
-  const std::vector<std::string> apps = {"vacation-low", "intruder"};
+  std::vector<Cell> cells;
+  for (const std::string app : {"vacation-low", "intruder"}) {
+    for (const std::size_t batch : batches) {
+      cells.push_back(
+          {app, "batch-" + std::to_string(batch), cfg, opt.threads, batch});
+    }
+  }
+  const std::vector<Row> rows = measure("txbatch", cells, opt);
 
   std::printf("# txbatch: request-stream throughput vs merge factor "
               "(%d thread%s, runtime stack+heap RW, %s log)\n",
               opt.threads, opt.threads == 1 ? "" : "s", to_string(log_kind));
-  std::printf("# capture-hit%% = accesses hitting captured (tx-local "
-              "stack/heap) memory; elided%% = any elision mechanism; "
-              "ovf%% = allocations dropped by a full array log\n");
+  std::printf("# ops = requests run by the merged transactions; capture-hit%% "
+              "= accesses hitting captured (tx-local stack/heap) memory; "
+              "elided%% = any elision mechanism; ovf%% = allocations dropped "
+              "by a full array log\n");
   std::printf("%-15s %6s %10s %12s %12s %9s %10s %6s %8s %9s %7s\n", "app",
-              "batch", "seconds", "requests", "req/s", "cap-hit%", "elided%",
+              "batch", "seconds", "ops", "ops/s", "cap-hit%", "elided%",
               "ovf%", "commits", "flushes", "comp");
-
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"txbatch\",\n  \"scale\": %g,\n"
-                 "  \"threads\": %d,\n  \"reps\": %d,\n  \"seed\": %llu,\n"
-                 "  \"batch_sizes\": [",
-                 opt.scale, opt.threads, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-    for (std::size_t i = 0; i < batches.size(); ++i) {
-      std::fprintf(json, "%s%zu", i == 0 ? "" : ", ", batches[i]);
-    }
-    std::fprintf(json, "],\n  \"rows\": [");
-  }
-  bool first_row = true;
-  for (const auto& app : apps) {
-    for (const std::size_t batch : batches) {
-      std::vector<double> times;
-      TxStats stats;
-      std::uint64_t requests = 0;
-      for (int r = 0; r < opt.reps; ++r) {
-        const RunResult res =
-            run_stream_once(app, opt.threads, batch, cfg, opt, &requests);
-        times.push_back(res.seconds);
-        stats = res.stats;
-      }
-      std::sort(times.begin(), times.end());
-      const double secs = times[times.size() / 2];
-      const double rps = secs > 0.0 ? static_cast<double>(requests) / secs : 0.0;
-      std::printf("%-15s %6zu %10.4f %12llu %12.0f %9.1f %10.1f %6.1f %8llu %9llu %7llu\n",
-                  app.c_str(), batch, secs,
-                  static_cast<unsigned long long>(requests), rps,
-                  stats.capture_hit_percent(), stats.elided_percent(),
-                  stats.capture_overflow_percent(),
-                  static_cast<unsigned long long>(stats.commits),
-                  static_cast<unsigned long long>(stats.batch_flushes),
-                  static_cast<unsigned long long>(stats.batch_op_compensations));
-      if (json != nullptr) {
-        std::fprintf(
-            json,
-            "%s\n    {\"app\": \"%s\", \"batch\": %zu, \"seconds\": %.6f, "
-            "\"requests\": %llu, \"req_per_sec\": %.1f, "
-            "\"capture_hit_percent\": %.2f, \"elided_percent\": %.2f, "
-            "\"commits\": %llu, \"aborts\": %llu, \"batch_flushes\": %llu, "
-            "\"batch_ops\": %llu, \"batch_op_compensations\": %llu}",
-            first_row ? "" : ",", app.c_str(), batch, secs,
-            static_cast<unsigned long long>(requests), rps,
-            stats.capture_hit_percent(), stats.elided_percent(),
-            static_cast<unsigned long long>(stats.commits),
-            static_cast<unsigned long long>(stats.aborts),
-            static_cast<unsigned long long>(stats.batch_flushes),
-            static_cast<unsigned long long>(stats.batch_ops),
-            static_cast<unsigned long long>(stats.batch_op_compensations));
-        first_row = false;
-      }
-    }
-  }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
+  for (const Row& row : rows) {
+    const TxStats& s = row.counters;
+    const double secs = row.median();
+    std::printf("%-15s %6zu %10.4f %12llu %12.0f %9.1f %10.1f %6.1f %8llu %9llu %7llu\n",
+                row.cell.app.c_str(), row.cell.batch, secs,
+                static_cast<unsigned long long>(s.batch_ops),
+                static_cast<double>(s.batch_ops) / secs,
+                s.capture_hit_percent(), s.elided_percent(),
+                s.capture_overflow_percent(),
+                static_cast<unsigned long long>(s.commits),
+                static_cast<unsigned long long>(s.batch_flushes),
+                static_cast<unsigned long long>(s.batch_op_compensations));
   }
 }
 
@@ -519,87 +496,25 @@ void adaptive_sweep(const Options& opt) {
   std::printf("# Adaptive capture-log selection: improvement over baseline "
               "at %d thread%s (runtime heap-W family)\n",
               opt.threads, opt.threads == 1 ? "" : "s");
-  std::printf("# profile: %% of adaptive transactions run on each structure "
-              "(a=array f=filter t=tree), plan switches,\n"
-              "# array-overflow%% of allocations, capture-hit%% of accesses\n");
-  std::printf("%-15s", "app");
-  for (const auto& [name, cfg] : configs) std::printf(" %9s", name.c_str());
-  std::printf("   profile a/f/t%%      sw   ovf%%   cap%%\n");
-
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"adaptive\",\n  \"scale\": %g,\n"
-                 "  \"threads\": %d,\n  \"reps\": %d,\n  \"seed\": %llu,\n"
-                 "  \"rows\": [",
-                 opt.scale, opt.threads, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-  }
-  bool first_row = true;
-  for (const auto& app : stamp::app_names()) {
-    const double base = median_seconds(app, opt.threads, TxConfig::baseline(), opt);
-    std::printf("%-15s", app.c_str());
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"app\": \"%s\", \"baseline_seconds\": %.6f, "
-                   "\"improvement_percent\": {",
-                   first_row ? "" : ",", app.c_str(), base);
-      first_row = false;
-    }
-    TxStats adaptive_stats;
-    bool have_adaptive = false;
-    bool first_cfg = true;
-    for (const auto& [name, cfg] : configs) {
-      TxStats stats;
-      const double t = median_seconds(app, opt.threads, cfg, opt, &stats);
-      const double improvement = (base / t - 1.0) * 100.0;
-      std::printf(" %8.1f%%", improvement);
-      if (name == "adaptive") {
-        adaptive_stats = stats;
-        have_adaptive = true;
-      }
-      if (json != nullptr) {
-        std::fprintf(json, "%s\"%s\": %.2f", first_cfg ? "" : ", ",
-                     name.c_str(), improvement);
-        first_cfg = false;
-      }
-    }
-    if (json != nullptr) std::fprintf(json, "}");
-    if (have_adaptive) {
-      const TxStats& s = adaptive_stats;
-      const std::uint64_t atxs = s.adaptive_txs_array + s.adaptive_txs_filter +
-                                 s.adaptive_txs_tree;
-      std::printf("   %3.0f/%3.0f/%3.0f %9llu %6.1f %6.1f",
-                  pct(s.adaptive_txs_array, atxs),
-                  pct(s.adaptive_txs_filter, atxs),
-                  pct(s.adaptive_txs_tree, atxs),
+  const std::vector<Row> rows =
+      speedup_table("adaptive", opt, opt.threads, configs);
+  if (opt.capture_log.empty() || opt.capture_log == "adaptive") {
+    std::printf("# adaptive profile: %% of transactions run on each structure "
+                "(a=array f=filter t=tree), plan switches,\n"
+                "# array-overflow%% of allocations, capture-hit%% of accesses\n");
+    std::printf("%-15s %15s %9s %6s %6s\n", "app", "a/f/t%", "sw", "ovf%",
+                "cap%");
+    for (const auto& app : stamp::app_names()) {
+      const TxStats& s = find_row(rows, app, "adaptive", opt.threads).counters;
+      const std::uint64_t txs = s.adaptive_txs_array + s.adaptive_txs_filter +
+                                s.adaptive_txs_tree;
+      std::printf("%-15s     %3.0f/%3.0f/%3.0f %9llu %6.1f %6.1f\n",
+                  app.c_str(), pct(s.adaptive_txs_array, txs),
+                  pct(s.adaptive_txs_filter, txs),
+                  pct(s.adaptive_txs_tree, txs),
                   static_cast<unsigned long long>(s.adaptive_switches),
                   s.capture_overflow_percent(), s.capture_hit_percent());
-      if (json != nullptr) {
-        std::fprintf(
-            json,
-            ", \"adaptive_profile\": {\"switches\": %llu, "
-            "\"txs_array\": %llu, \"txs_filter\": %llu, \"txs_tree\": %llu, "
-            "\"array_overflow_percent\": %.2f, \"capture_hit_percent\": %.2f}",
-            static_cast<unsigned long long>(s.adaptive_switches),
-            static_cast<unsigned long long>(s.adaptive_txs_array),
-            static_cast<unsigned long long>(s.adaptive_txs_filter),
-            static_cast<unsigned long long>(s.adaptive_txs_tree),
-            s.capture_overflow_percent(), s.capture_hit_percent());
-      }
     }
-    std::printf("  (baseline %.4fs)\n", base);
-    if (json != nullptr) std::fprintf(json, "}");
-  }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
   }
 }
 
@@ -612,8 +527,13 @@ void durable_sweep(const Options& opt) {
   // serialization + write-back; STAMP's data stays volatile, so entries
   // are flush-accounted but never replayed.
   const TxConfig ref = TxConfig::runtime_rw(AllocLogKind::kFilter);
-  const TxConfig dur_cap = ref.with_durable();
-  const TxConfig dur_nocap = TxConfig::durable_baseline();
+  std::vector<Cell> cells;
+  for (const auto& app : stamp::app_names()) {
+    cells.push_back({app, "nondurable", ref, opt.threads});
+    cells.push_back({app, "durable", ref.with_durable(), opt.threads});
+    cells.push_back({app, "durable-nocapture", TxConfig::durable_baseline(),
+                     opt.threads});
+  }
 
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string heap_path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
@@ -627,6 +547,10 @@ void durable_sweep(const Options& opt) {
     std::exit(1);
   }
   heap.activate();
+  const std::vector<Row> rows = measure("durable", cells, opt);
+  heap.deactivate();
+  heap.close();
+  std::remove(heap_path.c_str());
 
   std::printf("# Durable mode: overhead vs non-durable and flush elision "
               "(%d thread%s, runtime stack+heap RW, filter log)\n",
@@ -636,68 +560,21 @@ void durable_sweep(const Options& opt) {
   std::printf("%-15s %10s %10s %8s %10s %8s %9s %10s %10s %10s\n", "app",
               "ref-s", "dur-s", "ovh%", "nocap-s", "ovh%", "elided%", "pwbs",
               "nocap-pwb", "logged");
-
-  std::FILE* json = nullptr;
-  if (!opt.json.empty()) {
-    json = std::fopen(opt.json.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", opt.json.c_str());
-      std::exit(1);
-    }
-    std::fprintf(json,
-                 "{\n  \"experiment\": \"durable\",\n  \"scale\": %g,\n"
-                 "  \"threads\": %d,\n  \"reps\": %d,\n  \"seed\": %llu,\n"
-                 "  \"rows\": [",
-                 opt.scale, opt.threads, opt.reps,
-                 static_cast<unsigned long long>(opt.seed));
-  }
-  bool first_row = true;
   for (const auto& app : stamp::app_names()) {
-    const double base = median_seconds(app, opt.threads, ref, opt);
-    TxStats cap_stats;
-    const double t_cap = median_seconds(app, opt.threads, dur_cap, opt,
-                                        &cap_stats);
-    TxStats nocap_stats;
-    const double t_nocap = median_seconds(app, opt.threads, dur_nocap, opt,
-                                          &nocap_stats);
-    const double ovh_cap = (t_cap / base - 1.0) * 100.0;
-    const double ovh_nocap = (t_nocap / base - 1.0) * 100.0;
+    const Row& base = find_row(rows, app, "nondurable", opt.threads);
+    const Row& cap = find_row(rows, app, "durable", opt.threads);
+    const Row& nocap = find_row(rows, app, "durable-nocapture", opt.threads);
     std::printf(
         "%-15s %10.4f %10.4f %7.1f%% %10.4f %7.1f%% %8.1f%% %10llu %10llu "
         "%10llu\n",
-        app.c_str(), base, t_cap, ovh_cap, t_nocap, ovh_nocap,
-        cap_stats.flushes_elided_percent(),
-        static_cast<unsigned long long>(cap_stats.durable_pwbs),
-        static_cast<unsigned long long>(nocap_stats.durable_pwbs),
-        static_cast<unsigned long long>(cap_stats.durable_stores_logged));
-    if (json != nullptr) {
-      std::fprintf(
-          json,
-          "%s\n    {\"app\": \"%s\", \"nondurable_seconds\": %.6f, "
-          "\"durable_seconds\": %.6f, \"durable_overhead_percent\": %.2f, "
-          "\"durable_nocapture_seconds\": %.6f, "
-          "\"durable_nocapture_overhead_percent\": %.2f, "
-          "\"flushes_elided_percent\": %.2f, \"pwbs\": %llu, "
-          "\"pwbs_nocapture\": %llu, \"stores_logged\": %llu, "
-          "\"stores_logged_nocapture\": %llu, \"durable_commits\": %llu}",
-          first_row ? "" : ",", app.c_str(), base, t_cap, ovh_cap, t_nocap,
-          ovh_nocap, cap_stats.flushes_elided_percent(),
-          static_cast<unsigned long long>(cap_stats.durable_pwbs),
-          static_cast<unsigned long long>(nocap_stats.durable_pwbs),
-          static_cast<unsigned long long>(cap_stats.durable_stores_logged),
-          static_cast<unsigned long long>(nocap_stats.durable_stores_logged),
-          static_cast<unsigned long long>(cap_stats.durable_commits));
-      first_row = false;
-    }
+        app.c_str(), base.median(), cap.median(),
+        (cap.median() / base.median() - 1.0) * 100.0, nocap.median(),
+        (nocap.median() / base.median() - 1.0) * 100.0,
+        cap.counters.flushes_elided_percent(),
+        static_cast<unsigned long long>(cap.counters.durable_pwbs),
+        static_cast<unsigned long long>(nocap.counters.durable_pwbs),
+        static_cast<unsigned long long>(cap.counters.durable_stores_logged));
   }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("# wrote %s\n", opt.json.c_str());
-  }
-  heap.deactivate();
-  heap.close();
-  std::remove(heap_path.c_str());
 }
 
 }  // namespace cstm::harness

@@ -1,6 +1,22 @@
 // Experiment driver: runs the STAMP applications under the paper's STM
 // configurations and prints each table/figure of Section 4. One bench
 // binary per experiment calls exactly one of these printers.
+//
+// The recorded experiments (fig10, fig11a, fig11b, scaling, txbatch,
+// adaptive, durable) are each a list of cells, all measured by one function
+// rep by rep, in an order shuffled from --seed. Each printer computes its
+// table from the measured rows and, with --json, saves them as a
+// BENCH_*.json record through one writer. Every record has the one schema
+// scripts/bench_gate.py compares:
+//
+//   {"experiment": E, "scale": S, "reps": N, "seed": X,
+//    "rows": [{"app": A, "config": C, "threads": T,
+//              "samples": [seconds of every rep, in run order],
+//              "counters": {last rep's nonzero TxStats counters}}, ...]}
+//
+// A row is keyed by (app, config, threads). Derived numbers (improvement %,
+// overhead %, ops/s, capture-hit %) are not stored: the tables and the
+// comparator compute them from samples and counters.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +52,11 @@ struct RunResult {
 };
 
 /// One complete benchmark execution under @p cfg. Installs the config,
-/// resets statistics, runs, and collects the stats snapshot.
+/// resets statistics, runs, and collects the stats snapshot. @p batch 0 runs
+/// the app's workers (stamp::run_app); batch > 0 replays its request stream
+/// through txbatch at that merge factor (stamp::run_app_stream).
 RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
-                   const Options& opt);
+                   const Options& opt, std::size_t batch = 0);
 
 /// The five named configurations of Tables 1-2 (baseline, tree, array,
 /// filter, compiler) in paper order.
@@ -58,9 +76,8 @@ void fig9_removed(const Options& opt);          // Figure 9 (a, b)
 void fig10_single_thread(const Options& opt);   // Figure 10
 void fig11a_configs(const Options& opt);        // Figure 11 (a)
 /// Thread-count sweep (1,2,4,...,opt.threads) of the fig11 contenders,
-/// printing raw seconds per app x config x thread count. With --json this
-/// writes the BENCH_scaling.json record a multi-core box will commit
-/// (schema consumed, advisorily, by scripts/bench_gate.py).
+/// printing median seconds per app x config x thread count (the
+/// BENCH_scaling.json record a multi-core box will commit).
 void fig11a_scaling(const Options& opt);
 void fig11b_structures(const Options& opt);     // Figure 11 (b)
 void table1_aborts(const Options& opt);         // Table 1
@@ -68,21 +85,16 @@ void table2_variance(const Options& opt);       // Table 2
 
 /// txbatch throughput-vs-merge-factor sweep: replays the vacation-low and
 /// intruder request streams through txbatch::Batcher at batch sizes
-/// {1, 4, 16, 64} (or just opt.batch when --batch is given) and prints a
-/// per-row stats block — requests/s plus the capture-hit-rate% and
-/// barriers-elided% that explain the curve. With --json this writes the
-/// BENCH_txbatch.json record (schema consumed, advisorily, by
-/// scripts/bench_gate.py).
+/// {1, 4, 16, 64} (or just opt.batch when --batch is given) and prints
+/// ops/s plus the capture-hit% and barriers-elided% that explain the curve.
 void txbatch_stream(const Options& opt);
 
 /// Adaptive capture-log selection vs the three fixed structures, in the
-/// fig11b family (runtime heap-W — the family where the structure choice
-/// dominates). Prints the improvement-over-baseline table plus a per-app
-/// adaptive profile block (transaction distribution across structures,
-/// switches, array-overflow% and capture-hit%), and with --json writes the
-/// BENCH_adaptive.json record (speedup_table row schema + an
-/// "adaptive_profile" object per row; consumed advisorily by
-/// scripts/bench_gate.py). --capture-log restricts the sweep to one column.
+/// fig11b family (runtime heap-W, where the structure choice dominates).
+/// Prints the improvement-over-baseline table plus a per-app adaptive
+/// profile (transaction distribution across structures, switches,
+/// array-overflow% and capture-hit%). --capture-log restricts the sweep to
+/// one column.
 void adaptive_sweep(const Options& opt);
 
 /// Durable mode across STAMP: seconds for the non-durable reference
@@ -90,8 +102,6 @@ void adaptive_sweep(const Options& opt);
 /// on vs capture-disabled durable (the flush-everything baseline), plus
 /// the flushes-elided% and pwb/redo-entry counts that explain the gap. A
 /// scratch DurableHeap backs the redo log so the flush traffic is real.
-/// With --json this writes the BENCH_durable.json record (consumed
-/// advisorily by scripts/bench_gate.py).
 void durable_sweep(const Options& opt);
 
 }  // namespace cstm::harness

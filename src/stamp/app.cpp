@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -16,7 +17,6 @@
 #include "stamp/ssca2/ssca2.hpp"
 #include "stamp/vacation/vacation.hpp"
 #include "stamp/yada/yada.hpp"
-#include "support/timer.hpp"
 #include "txbatch/batcher.hpp"
 
 namespace cstm::stamp {
@@ -43,29 +43,45 @@ const std::vector<std::string>& app_names() {
   return names;
 }
 
-double run_app(App& app, const AppParams& params) {
-  app.setup(params);
-  const int n = params.threads;
-  double elapsed = 0.0;
-  Timer timer;
-  std::barrier sync(n + 1);
+namespace {
+
+/// Runs `state = prepare(tid)` and then `work(tid, state)` on @p n threads
+/// and returns the seconds of the work phase. Each state is destroyed on its
+/// own thread after the phase. Both timestamps are taken in the barrier's
+/// completion function, which runs once per phase after all n threads have
+/// arrived and before any is released, so the first stamp precedes every
+/// thread's work and the second follows it. (A stamp taken by a thread after
+/// it wakes can start the clock after a short worker has already finished.)
+template <class Prepare, class Work>
+double timed_region(int n, Prepare prepare, Work work) {
+  using clock = std::chrono::steady_clock;
+  clock::time_point stamps[2];
+  int phase = 0;
+  std::barrier sync(n, [&]() noexcept { stamps[phase++] = clock::now(); });
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
   for (int tid = 0; tid < n; ++tid) {
     threads.emplace_back([&, tid] {
-      sync.arrive_and_wait();  // line up
-      app.worker(tid);
-      sync.arrive_and_wait();  // all done
+      auto state = prepare(tid);
+      sync.arrive_and_wait();  // line up: first stamp
+      work(tid, state);
+      sync.arrive_and_wait();  // all done: second stamp
     });
   }
-  sync.arrive_and_wait();
-  timer.reset();
-  sync.arrive_and_wait();
-  elapsed = timer.seconds();
   for (auto& t : threads) t.join();
+  return std::chrono::duration<double>(stamps[1] - stamps[0]).count();
+}
+
+}  // namespace
+
+double run_app(App& app, const AppParams& params) {
+  app.setup(params);
+  const double elapsed = timed_region(
+      params.threads, [](int) { return 0; },
+      [&](int tid, int) { app.worker(tid); });
   if (!app.verify()) {
     std::fprintf(stderr, "FATAL: %s failed verification (threads=%d)\n",
-                 app.name(), n);
+                 app.name(), params.threads);
     std::abort();
   }
   return elapsed;
@@ -76,41 +92,26 @@ double run_app_stream(App& app, const AppParams& params, std::size_t batch,
   app.setup(params);
   const int n = params.threads;
   std::atomic<std::uint64_t> total_requests{0};
-  double elapsed = 0.0;
-  Timer timer;
-  std::barrier sync(n + 1);
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(n));
   std::atomic<bool> not_batchable{false};
-  for (int tid = 0; tid < n; ++tid) {
-    threads.emplace_back([&, tid] {
-      std::unique_ptr<RequestSource> source = app.open_request_stream(tid);
-      if (source == nullptr) {
-        not_batchable.store(true);
-        sync.arrive_and_wait();
-        sync.arrive_and_wait();
-        return;
-      }
-      txbatch::BatcherOptions opts;
-      opts.max_batch = batch;
-      txbatch::Batcher batcher(opts);
-      sync.arrive_and_wait();  // line up
-      std::uint64_t replayed = 0;
-      for (std::function<void(Tx&)> fn = source->next(); fn;
-           fn = source->next()) {
-        batcher.enqueue(std::move(fn));
-        ++replayed;
-      }
-      batcher.drain();
-      total_requests.fetch_add(replayed);
-      sync.arrive_and_wait();  // all done
-    });
-  }
-  sync.arrive_and_wait();
-  timer.reset();
-  sync.arrive_and_wait();
-  elapsed = timer.seconds();
-  for (auto& t : threads) t.join();
+  const double elapsed = timed_region(
+      n, [&](int tid) { return app.open_request_stream(tid); },
+      [&](int, std::unique_ptr<RequestSource>& source) {
+        if (source == nullptr) {
+          not_batchable.store(true);
+          return;
+        }
+        txbatch::BatcherOptions opts;
+        opts.max_batch = batch;
+        txbatch::Batcher batcher(opts);
+        std::uint64_t replayed = 0;
+        for (std::function<void(Tx&)> fn = source->next(); fn;
+             fn = source->next()) {
+          batcher.enqueue(std::move(fn));
+          ++replayed;
+        }
+        batcher.drain();
+        total_requests.fetch_add(replayed);
+      });
   if (not_batchable.load()) {
     std::fprintf(stderr, "FATAL: %s has no request-stream adapter\n",
                  app.name());

@@ -75,6 +75,20 @@ struct TxStats {
   static constexpr std::size_t kCounters = 0 CSTM_TX_COUNTERS(CSTM_STATS_ONE);
 #undef CSTM_STATS_ONE
 
+#define CSTM_STATS_NAME(name) #name,
+  /// Every counter's name, in CSTM_TX_COUNTERS order.
+  static constexpr const char* kCounterNames[] = {
+      CSTM_TX_COUNTERS(CSTM_STATS_NAME)};
+#undef CSTM_STATS_NAME
+
+  /// Calls f(name, value) for every counter, in kCounterNames order.
+  template <class F>
+  void for_each_counter(F&& f) const {
+#define CSTM_STATS_VISIT(name) f(#name, name);
+    CSTM_TX_COUNTERS(CSTM_STATS_VISIT)
+#undef CSTM_STATS_VISIT
+  }
+
   std::uint64_t read_elided() const {
     return read_elided_stack + read_elided_heap + read_elided_private +
            read_elided_static;

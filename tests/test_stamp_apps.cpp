@@ -6,6 +6,10 @@
 // + containers + application logic.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <memory>
+
 #include "harness/experiment.hpp"
 #include "stamp/app.hpp"
 #include "stm/stm.hpp"
@@ -119,6 +123,63 @@ TEST(StampProfiles, VacationCompilerElidesStatically) {
   const auto res = harness::run_once("vacation-low", 1, TxConfig::compiler(), opt);
   const TxStats& s = res.stats;
   EXPECT_GT(s.write_elided_static, 0u);
+}
+
+// -- Timed region -------------------------------------------------------------
+// run_app/run_app_stream must time every worker from start to finish: a
+// worker that spins for 2 ms can never be reported as faster than that.
+
+constexpr double kSpinSeconds = 0.002;
+
+void spin_for(double seconds) {
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::duration<double>(seconds);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+class OneRequestSource : public stamp::RequestSource {
+ public:
+  std::function<void(Tx&)> next() override {
+    if (served_) return {};
+    served_ = true;
+    return [](Tx&) { spin_for(kSpinSeconds); };
+  }
+
+ private:
+  bool served_ = false;
+};
+
+class SpinApp : public stamp::App {
+ public:
+  const char* name() const override { return "spin"; }
+  void setup(const stamp::AppParams&) override {}
+  void worker(int) override { spin_for(kSpinSeconds); }
+  bool verify() override { return true; }
+  std::unique_ptr<stamp::RequestSource> open_request_stream(int) override {
+    return std::make_unique<OneRequestSource>();
+  }
+};
+
+TEST(TimedRegion, RunAppCoversTheWholeWorker) {
+  stamp::AppParams params;
+  params.threads = 1;
+  for (int i = 0; i < 20; ++i) {
+    SpinApp app;
+    EXPECT_GE(stamp::run_app(app, params), kSpinSeconds) << "run " << i;
+  }
+}
+
+TEST(TimedRegion, RunAppStreamCoversTheWholeRequest) {
+  stamp::AppParams params;
+  params.threads = 1;
+  for (int i = 0; i < 20; ++i) {
+    SpinApp app;
+    std::uint64_t requests = 0;
+    EXPECT_GE(stamp::run_app_stream(app, params, 1, &requests), kSpinSeconds)
+        << "run " << i;
+    EXPECT_EQ(requests, 1u);
+  }
 }
 
 }  // namespace

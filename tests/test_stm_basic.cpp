@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "stm/stm.hpp"
 
@@ -407,6 +411,34 @@ TEST_F(StmBasic, CommittedValueVisibleToOtherThread) {
     atomic([&](Tx& tx) { seen = tm_read(tx, &x); });
   }).join();
   EXPECT_EQ(seen, 21u);
+}
+
+// -- Counter name table ----------------------------------------------------------
+
+TEST(TxStatsNames, OneUniqueNamePerCounter) {
+  constexpr std::size_t n = std::size(TxStats::kCounterNames);
+  static_assert(n == TxStats::kCounters);
+  std::set<std::string> unique(std::begin(TxStats::kCounterNames),
+                               std::end(TxStats::kCounterNames));
+  EXPECT_EQ(unique.size(), n);
+}
+
+TEST(TxStatsNames, ForEachCounterReadsTheNamedField) {
+  TxStats s;
+  s.commits = 7;
+  s.adaptive_switches = 3;
+  std::vector<std::string> names;
+  std::uint64_t commits_seen = 0;
+  std::uint64_t switches_seen = 0;
+  s.for_each_counter([&](const char* name, std::uint64_t value) {
+    names.emplace_back(name);
+    if (names.back() == "commits") commits_seen = value;
+    if (names.back() == "adaptive_switches") switches_seen = value;
+  });
+  EXPECT_EQ(commits_seen, 7u);
+  EXPECT_EQ(switches_seen, 3u);
+  EXPECT_EQ(names, std::vector<std::string>(std::begin(TxStats::kCounterNames),
+                                            std::end(TxStats::kCounterNames)));
 }
 
 }  // namespace
