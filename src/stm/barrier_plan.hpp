@@ -54,11 +54,6 @@ struct BarrierPlan {
   BarrierPath read = BarrierPath::kFull;
   BarrierPath write = BarrierPath::kFull;
   ActiveLog log = ActiveLog::kNone;
-  // Contention manager, resolved once at begin like the barrier paths: the
-  // conflict slow path (Tx::on_conflict) and the post-abort pause dispatch
-  // on this field, never on TxConfig — the access fast paths stay free of
-  // per-access policy branches.
-  ContentionPolicy cm = ContentionPolicy::kBackoff;
   // Durable mode, resolved once at begin like everything else. Consulted
   // only inside the outlined full-write slow path (to append the redo
   // entry) and at commit_top — the inlined fast paths, including every
@@ -77,7 +72,6 @@ struct BarrierPlan {
   /// barriers never dispatch on anything but the compiled plan.
   static constexpr BarrierPlan compile(const TxConfig& cfg) {
     BarrierPlan p;
-    p.cm = cfg.contention;
     p.durable = cfg.durable;
     if (cfg.count_mode) {
       p.read = p.write = BarrierPath::kCounting;

@@ -51,8 +51,7 @@ template <TmValue T>
     const std::uint64_t v1 = rec.load(std::memory_order_acquire);
     if (orec::is_locked(v1)) {
       if (orec::owner_of(v1) == &tx) return load_relaxed(addr);  // read-own
-      tx.on_conflict(&rec);
-      continue;
+      tx.on_conflict();
     }
     const T val = load_relaxed(addr);
     const std::uint64_t v2 = rec.load(std::memory_order_acquire);
@@ -80,8 +79,7 @@ template <TmValue T>
         if (tx.plan.durable) tx.durable_record(addr, sizeof(T));
         return;
       }
-      tx.on_conflict(&rec);
-      continue;
+      tx.on_conflict();
     }
     if (orec::version_of(v) > tx.start_ts) {
       if (!tx.extend()) tx.abort_self();

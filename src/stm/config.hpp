@@ -1,6 +1,6 @@
 // Runtime configuration: which capture checks run inside the barriers, which
-// allocation-log data structure backs the heap check, and the contention
-// policy. The named presets correspond exactly to the configurations the
+// allocation-log data structure backs the heap check, and whether durable
+// mode is on. The named presets correspond exactly to the configurations the
 // paper evaluates in Figures 9-11 and Tables 1-2.
 //
 // The barrier fields form a small algebra with one meaning per value: a
@@ -16,14 +16,6 @@
 #include "capture/alloc_log.hpp"
 
 namespace cstm {
-
-enum class ContentionPolicy : std::uint8_t {
-  kBackoff = 0,        // abort self, exponential backoff before retry (paper)
-  kSuicide = 1,        // abort self, retry immediately
-  kSpinThenAbort = 2,  // bounded spin on the lock, then abort self
-  kKarma = 3,          // priority = work invested (Scherer & Scott); loser aborts
-  kGreedy = 4          // oldest-first by begin ticket (Guerraoui et al.)
-};
 
 struct TxConfig {
   // Runtime capture checks (Section 3.1) on the tx-local heap, separately for
@@ -48,11 +40,10 @@ struct TxConfig {
   // and commit runs the flush/fence protocol in src/durable/. Compiled into
   // BarrierPlan::durable — zero per-access branches when off, one branch in
   // the outlined full-write slow path when on. Orthogonal to the capture
-  // presets, like the contention axis.
+  // presets.
   bool durable = false;
 
   AllocLogKind alloc_log = AllocLogKind::kTree;
-  ContentionPolicy contention = ContentionPolicy::kBackoff;
 
   /// Runtime checks, static elision and counting are mutually exclusive,
   /// and stack_private only widens a heap check.
@@ -62,18 +53,9 @@ struct TxConfig {
     return int{runtime} + int{static_elision} + int{count_mode} <= 1;
   }
 
-  /// Same barrier configuration, different contention manager. CM choice is
-  /// orthogonal to the capture presets, so the differential matrix crosses
-  /// the two axes with this helper.
-  constexpr TxConfig with_contention(ContentionPolicy p) const {
-    TxConfig c = *this;
-    c.contention = p;
-    return c;
-  }
-
-  /// Same barrier configuration, with durability on. Crossed over the
-  /// capture presets exactly like with_contention — the differential suite
-  /// checks that durability never changes committed state.
+  /// Same barrier configuration, with durability on. The differential
+  /// suite crosses it over the capture presets to check that durability
+  /// never changes committed state.
   constexpr TxConfig with_durable() const {
     TxConfig c = *this;
     c.durable = true;

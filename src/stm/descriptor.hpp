@@ -1,7 +1,8 @@
 // Transaction descriptor: all per-thread transaction state, including the
 // capture-analysis machinery (the packed capture frame with stack bounds and
 // membership views, the lazily constructed allocation logs, and the barrier
-// plan resolved from the config at transaction begin).
+// plan resolved from the config at transaction begin) and the backoff state
+// of the one contention policy (consecutive_aborts and the backoff RNG).
 #pragma once
 
 #include <atomic>
@@ -65,22 +66,6 @@ class Tx {
   /// (gclock.hpp). Survives across transactions — that is the whole point
   /// of batching.
   ClockReservation tclock;
-
-  // -- Contention-manager state (read by CONFLICTING threads) ----------------
-  // Both fields are written by the owning thread and read by threads that
-  // find this descriptor in a locked orec, hence atomic. Readers go through
-  // the StatsRegistry snapshot helpers in stm.cpp, which pin the descriptor
-  // alive for the duration of the read.
-
-  /// Karma: logged accesses accumulated over this transaction's aborted
-  /// attempts (reset at commit/cancel). Priority for karma arbitration.
-  std::atomic<std::uint64_t> cm_karma{0};
-
-  /// Greedy: global begin ticket, assigned at the FIRST attempt of a
-  /// top-level transaction and kept across retries (age only grows);
-  /// kNoTicket while no greedy transaction is running.
-  static constexpr std::uint64_t kNoTicket = ~std::uint64_t{0};
-  std::atomic<std::uint64_t> cm_ticket{kNoTicket};
 
   TxLog<ReadEntry> rs;
   TxLog<OwnedOrec> ws;
@@ -201,13 +186,9 @@ class Tx {
 
   bool validate() const;
   bool extend();
-  /// Called on a lock conflict: dispatches on plan.cm (never cfg) — spin,
-  /// abort self, or arbitrate by karma/age against the lock owner.
-  void on_conflict(std::atomic<std::uint64_t>* rec);
-  /// Post-abort pause, dispatched on plan.cm from the retry loop in
-  /// txn.hpp. kBackoff pauses exponentially; karma/greedy pause only after
-  /// repeated consecutive aborts (single-core livelock guard).
-  void after_abort_pause();
+  /// Called on a lock conflict: counts it and aborts self. The retry loop
+  /// in txn.hpp then backs off (pause_backoff) before the next attempt.
+  [[noreturn]] void on_conflict();
   void pause_backoff() { backoff_.pause(consecutive_aborts); }
 
   /// Precise classification for count mode (Fig. 8): heap first, then stack.
@@ -223,6 +204,9 @@ class Tx {
 
  private:
   void reset_logs();
+  /// Top-level rollback shared by abort_self and cancel: undo, orec
+  /// release with a fresh stamp, allocation release, then log reset.
+  void rollback_top();
   std::unique_ptr<TreeAllocLog> tree_log_;
   std::unique_ptr<FilterAllocLog> filter_log_;
   ExponentialBackoff backoff_;

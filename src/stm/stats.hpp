@@ -44,10 +44,10 @@ namespace cstm {
      reservations, stale ranges discarded without stamping, and lazy         \
      read-set revalidations (Tx::extend) against the published epoch. */      \
   X(clock_reservations) X(clock_stale_discards) X(lazy_revalidations)         \
-  /* Self-aborts attributed to the contention-manager policy that decided   \
-     them (conflict-driven aborts only; user aborts are not counted). */      \
-  X(cm_aborts_backoff) X(cm_aborts_suicide) X(cm_aborts_spin)                 \
-  X(cm_aborts_karma) X(cm_aborts_greedy)                                      \
+  /* Self-aborts on a lock conflict (Tx::on_conflict), under the one      \
+     contention policy, exponential backoff. Validation and extend failures  \
+     and user aborts are not counted. */                                      \
+  X(cm_aborts_backoff)                                                        \
   /* Nested partial aborts (Tx::abort_nested): closed-nested levels rolled  \
      back individually, whatever triggered them (user abort_tx, txbatch      \
      sub-op compensation). */                                                 \

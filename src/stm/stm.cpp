@@ -60,10 +60,6 @@ std::uint64_t next_backoff_seed() {
 std::mutex g_orphan_mutex;
 std::vector<Tx::QuarantinedBlock> g_orphans;
 
-// Greedy contention manager: global age counter. Assigned once per
-// top-level transaction (kept across its retries) in begin_top.
-std::atomic<std::uint64_t> g_greedy_ticket{0};
-
 /// Smallest snapshot timestamp among active transactions; kIdleEpoch when
 /// none are active. A block freed at epoch e may be reused once
 /// min_active_start() > e: no transaction that could hold a stale pointer
@@ -89,38 +85,6 @@ GlobalClock::Stamp stamp_and_count(Tx& tx) {
   tx.stats.clock_reservations += s.reservations;
   tx.stats.clock_stale_discards += s.discards;
   return s;
-}
-
-/// Snapshots a conflicting lock owner's contention-manager priority. The
-/// registry lock pins the descriptor: Tx::~Tx erases itself under the same
-/// mutex, so a Tx* found in reg.live cannot be destroyed while we read it.
-/// Returns false when the owner is no longer live — its lock word is a
-/// leftover about to be irrelevant, so the caller simply waits it out.
-bool owner_priority(const void* owner, bool want_ticket, std::uint64_t* out) {
-  StatsRegistry& reg = stats_registry();
-  std::lock_guard<std::mutex> lk(reg.mutex);
-  for (Tx* t : reg.live) {
-    if (t == owner) {
-      *out = want_ticket ? t->cm_ticket.load(std::memory_order_relaxed)
-                         : t->cm_karma.load(std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Bounded wait for a lock we won the arbitration against (all policies are
-/// suicide variants: we never abort the owner, we outwait it). Returns true
-/// as soon as the word moves — released or re-locked, either way the
-/// barrier should re-sample. Bounded so an owner preempted mid-commit can
-/// never wedge us: on timeout the caller aborts self (deadlock safety).
-bool wait_for_release(std::atomic<std::uint64_t>* rec,
-                      std::uint64_t locked_word) {
-  for (int i = 0; i < 2048; ++i) {
-    cpu_relax();
-    if (rec->load(std::memory_order_acquire) != locked_word) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -209,7 +173,6 @@ Tx::~Tx() {
 
 void Tx::flush_quarantine(bool force) {
   if (!force && quarantine.size() < 64) return;
-  if (quarantine.empty() && !force) return;
   const std::uint64_t min_active = min_active_start();
   std::size_t kept = 0;
   for (const QuarantinedBlock& q : quarantine) {
@@ -317,13 +280,6 @@ void Tx::begin_top(const void* sp) {
     }
   }
   flush_quarantine(/*force=*/false);
-  if (plan.cm == ContentionPolicy::kGreedy &&
-      cm_ticket.load(std::memory_order_relaxed) == kNoTicket) {
-    // First attempt of this transaction: draw an age ticket. Retries keep
-    // it (the transaction only gets older), commit/cancel clears it.
-    cm_ticket.store(g_greedy_ticket.fetch_add(1, std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  }
   start_ts = global_clock().load();
   active_since.store(start_ts, std::memory_order_release);
   frame.stack_begin = reinterpret_cast<std::uintptr_t>(sp);
@@ -390,11 +346,9 @@ void Tx::commit_top() {
   active_since.store(kIdleEpoch, std::memory_order_release);
   ++stats.commits;
   consecutive_aborts = 0;
-  cm_karma.store(0, std::memory_order_relaxed);
-  cm_ticket.store(kNoTicket, std::memory_order_relaxed);
 }
 
-void Tx::abort_self() {
+void Tx::rollback_top() {
   // Roll back memory, release ownership, undo allocations, in that order:
   // undo entries may point into blocks about to be returned to the pool.
   // Undo entries into the transaction's own (now possibly dead) stack
@@ -417,35 +371,24 @@ void Tx::abort_self() {
   for (std::size_t i = alloc.allocs.size(); i-- > 0;) {
     Pool::deallocate(alloc.allocs[i].ptr);
   }
-  if (plan.cm == ContentionPolicy::kKarma) {
-    // Work invested in the failed attempt raises next attempt's priority.
-    cm_karma.fetch_add(rs.size() + ws.size() + 1, std::memory_order_relaxed);
-  }
   // Deferred frees are dropped: the transaction did not happen.
   reset_logs();
   depth = 0;
   active_since.store(kIdleEpoch, std::memory_order_release);
+}
+
+void Tx::abort_self() {
+  rollback_top();
   ++stats.aborts;
   ++consecutive_aborts;
   throw TxAbortException{};
 }
 
 void Tx::cancel() {
-  undo.rollback(0, stack_low, frame.stack_begin);
-  if (!ws.empty()) {
-    const std::uint64_t av = orec::make_version(stamp_and_count(*this).ts);
-    for (std::size_t i = ws.size(); i-- > 0;) {
-      ws[i].rec->store(av, std::memory_order_release);
-    }
-  }
-  for (std::size_t i = alloc.allocs.size(); i-- > 0;) {
-    Pool::deallocate(alloc.allocs[i].ptr);
-  }
-  reset_logs();
-  depth = 0;
-  active_since.store(kIdleEpoch, std::memory_order_release);
-  cm_karma.store(0, std::memory_order_relaxed);
-  cm_ticket.store(kNoTicket, std::memory_order_relaxed);
+  rollback_top();
+  // A cancel ends the transaction like a commit does: the next, unrelated
+  // transaction must start its backoff from the first step.
+  consecutive_aborts = 0;
 }
 
 void Tx::abort_nested() {
@@ -544,80 +487,11 @@ bool Tx::extend() {
   return true;
 }
 
-void Tx::on_conflict(std::atomic<std::uint64_t>* rec) {
-  // Conflict slow path. Dispatches on the plan's compiled-in contention
-  // manager — cfg is never consulted here, mirroring how the barrier paths
-  // were devirtualized in the plan. Returning (instead of aborting) means
-  // "re-sample the record": all policies are suicide variants, so the only
-  // ways out are the lock moving or this transaction aborting itself.
-  switch (plan.cm) {
-    case ContentionPolicy::kBackoff:
-      ++stats.cm_aborts_backoff;
-      break;
-    case ContentionPolicy::kSuicide:
-      ++stats.cm_aborts_suicide;
-      break;
-    case ContentionPolicy::kSpinThenAbort:
-      for (int i = 0; i < 512; ++i) {
-        cpu_relax();
-        if (!orec::is_locked(rec->load(std::memory_order_acquire))) return;
-      }
-      ++stats.cm_aborts_spin;
-      break;
-    case ContentionPolicy::kKarma: {
-      const std::uint64_t word = rec->load(std::memory_order_acquire);
-      if (!orec::is_locked(word)) return;  // already released: re-sample
-      const void* owner = orec::owner_of(word);
-      // Effective karma counts work banked by earlier aborted attempts
-      // plus the current attempt's logged accesses.
-      const std::uint64_t mine = cm_karma.load(std::memory_order_relaxed) +
-                                 rs.size() + ws.size();
-      std::uint64_t his = 0;
-      CmDecision d = CmDecision::kWait;  // owner gone => lock is leaving
-      if (owner_priority(owner, /*want_ticket=*/false, &his)) {
-        d = karma_arbitrate(mine, his, this, owner);
-      }
-      if (d == CmDecision::kWait && wait_for_release(rec, word)) return;
-      ++stats.cm_aborts_karma;
-      break;
-    }
-    case ContentionPolicy::kGreedy: {
-      const std::uint64_t word = rec->load(std::memory_order_acquire);
-      if (!orec::is_locked(word)) return;
-      const void* owner = orec::owner_of(word);
-      const std::uint64_t mine = cm_ticket.load(std::memory_order_relaxed);
-      // An owner without a ticket (mixed-policy run or already tearing
-      // down) compares as youngest: we wait for it, bounded.
-      std::uint64_t his = kNoTicket;
-      owner_priority(owner, /*want_ticket=*/true, &his);
-      const CmDecision d = greedy_arbitrate(mine, his);
-      if (d == CmDecision::kWait && wait_for_release(rec, word)) return;
-      ++stats.cm_aborts_greedy;
-      break;
-    }
-  }
+void Tx::on_conflict() {
+  // The one contention policy: yield to the lock owner by aborting self;
+  // the retry loop in txn.hpp backs off before the next attempt.
+  ++stats.cm_aborts_backoff;
   abort_self();
-}
-
-void Tx::after_abort_pause() {
-  switch (plan.cm) {
-    case ContentionPolicy::kBackoff:
-      pause_backoff();
-      break;
-    case ContentionPolicy::kSuicide:
-    case ContentionPolicy::kSpinThenAbort:
-      break;
-    case ContentionPolicy::kKarma:
-    case ContentionPolicy::kGreedy:
-      // Priority schemes retry immediately — arbitration itself orders the
-      // contenders. After a pile of consecutive aborts (e.g. lockstep on
-      // one core), a short capped randomized pause breaks the phase
-      // without inverting priorities for long.
-      if (consecutive_aborts >= 4) {
-        backoff_.pause(consecutive_aborts < 8 ? consecutive_aborts : 8);
-      }
-      break;
-  }
 }
 
 }  // namespace cstm

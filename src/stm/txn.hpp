@@ -1,6 +1,7 @@
 // Transaction control: cstm::atomic() runs a callable as a transaction with
-// single-lock-atomicity semantics, retrying on conflict aborts. Nested calls
-// form closed-nested transactions with partial abort (Section 2.2.1).
+// single-lock-atomicity semantics, retrying on conflict aborts after an
+// exponential randomized backoff (support/backoff.hpp). Nested calls form
+// closed-nested transactions with partial abort (Section 2.2.1).
 #pragma once
 
 #include "stm/descriptor.hpp"
@@ -44,9 +45,8 @@ template <typename F>
       tx.commit_top();
       return;
     } catch (const TxAbortException&) {
-      // Conflict: state already rolled back; the plan's contention manager
-      // decides whether (and how long) to pause before the retry.
-      tx.after_abort_pause();
+      // Conflict: state already rolled back; back off before the retry.
+      tx.pause_backoff();
     } catch (const TxUserAbort&) {
       tx.cancel();
       return;

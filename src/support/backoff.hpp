@@ -1,52 +1,16 @@
-// Contention-management policies: the paper's exponential backoff (its
-// default, whose run-to-run variance at 16 threads the paper attributes to
-// the policy itself) plus the pure arbitration rules for the pluggable
-// karma and greedy managers. The arbitration functions are side-effect-free
-// on purpose — the runtime state they consume (accumulated karma, begin
-// tickets) lives in the descriptor, so the decision rules unit-test without
-// spinning up transactions (tests/test_clock_orec.cpp).
+// The one contention-management policy: a transaction that meets a locked
+// orec aborts itself, and the retry loop (stm/txn.hpp) pauses for an
+// exponential randomized interval before the next attempt. This is the
+// paper's policy; its Table 2 attributes the 16-thread run-to-run variance
+// to it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "support/cacheline.hpp"
 #include "support/random.hpp"
 
 namespace cstm {
-
-/// What a contention manager tells the conflicting (lock-observing) side to
-/// do about the lock owner. All policies here are suicide variants — nobody
-/// aborts a remote transaction, so kWait always means "bounded wait, then
-/// abort self" at the call site (deadlock safety under any priority rule).
-enum class CmDecision : std::uint8_t {
-  kAbortSelf = 0,  // yield to the owner immediately
-  kWait = 1        // owner should lose; spin bounded for it to finish/release
-};
-
-/// Karma (Scherer & Scott): priority is work invested — the number of
-/// logged accesses accumulated across this transaction's aborted attempts
-/// plus the current attempt. Higher karma wins; ties break on descriptor
-/// address so two equal transactions never both wait on each other.
-inline CmDecision karma_arbitrate(std::uint64_t my_karma,
-                                  std::uint64_t owner_karma,
-                                  const void* me, const void* owner) {
-  if (my_karma != owner_karma) {
-    return my_karma > owner_karma ? CmDecision::kWait : CmDecision::kAbortSelf;
-  }
-  return std::less<const void*>{}(me, owner) ? CmDecision::kWait
-                                             : CmDecision::kAbortSelf;
-}
-
-/// Greedy (Guerraoui, Herlihy & Pochon): oldest transaction wins, age
-/// measured by a global begin ticket that is KEPT across retries — an
-/// often-aborted transaction only gets older, so it eventually outranks
-/// every newcomer (livelock freedom of the original manager, minus the
-/// remote-abort half we deliberately drop). Lower ticket = older = wins.
-inline CmDecision greedy_arbitrate(std::uint64_t my_ticket,
-                                   std::uint64_t owner_ticket) {
-  return my_ticket < owner_ticket ? CmDecision::kWait : CmDecision::kAbortSelf;
-}
 
 class ExponentialBackoff {
  public:

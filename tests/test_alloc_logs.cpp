@@ -65,6 +65,7 @@ std::unique_ptr<LogUnderTest> make_log(AllocLogKind kind) {
       return std::make_unique<LogAdapter<ArrayAllocLog>>();
     case AllocLogKind::kFilter:
       return std::make_unique<LogAdapter<FilterAllocLog>>();
+    case AllocLogKind::kAdaptive: break;  // a selector tag, not a structure
   }
   return nullptr;
 }

@@ -6,8 +6,7 @@
 //    and on stale (overtaken) ranges;
 //  * the striped ownership-record table (stm/orec.hpp) — cache-line
 //    alignment, same-line/adjacent-line mapping guarantees, hash
-//    distribution, and stripe isolation;
-//  * the pure contention-manager arbitration rules (support/backoff.hpp).
+//    distribution, and stripe isolation.
 //
 // The clock tests run against LOCAL GlobalClock instances with tiny batch
 // sizes, so range boundaries and staleness — rare events on the production
@@ -24,7 +23,6 @@
 #include "stm/gclock.hpp"
 #include "stm/orec.hpp"
 #include "stm/stm.hpp"
-#include "support/backoff.hpp"
 
 namespace cstm {
 namespace {
@@ -44,7 +42,9 @@ TEST(BatchedClock, SingleThreadStampsAreConsecutiveWithinARange) {
     // Sole committer: every stamp lands exactly one above the previous —
     // range boundaries are invisible because a fresh range starts right
     // where the synced previous range ended.
-    if (prev != 0) EXPECT_EQ(s.ts, prev + 1);
+    if (prev != 0) {
+      EXPECT_EQ(s.ts, prev + 1);
+    }
     EXPECT_EQ(clock.load(), s.ts);  // published before return
     EXPECT_EQ(s.prev_published, prev);
     prev = s.ts;
@@ -285,32 +285,6 @@ TEST(BatchedClockTx, MergedBatchPublishesOnce) {
   }
   EXPECT_GE(single_steps, static_cast<std::uint64_t>(kRounds) - 1);
   set_global_config(TxConfig::baseline());
-}
-
-// ---------------------------------------------------------------------------
-// Contention-manager arbitration rules
-// ---------------------------------------------------------------------------
-
-TEST(ContentionArbitration, KarmaHigherInvestmentWins) {
-  int a = 0, b = 0;
-  EXPECT_EQ(karma_arbitrate(10, 3, &a, &b), CmDecision::kWait);
-  EXPECT_EQ(karma_arbitrate(3, 10, &a, &b), CmDecision::kAbortSelf);
-}
-
-TEST(ContentionArbitration, KarmaTieBreaksAsymmetrically) {
-  // Two equal-karma transactions must not both wait (deadlock) and must
-  // not both abort (livelock): exactly one side of every pair waits.
-  int a = 0, b = 0;
-  const CmDecision ab = karma_arbitrate(5, 5, &a, &b);
-  const CmDecision ba = karma_arbitrate(5, 5, &b, &a);
-  EXPECT_NE(ab, ba);
-}
-
-TEST(ContentionArbitration, GreedyOldestTicketWins) {
-  EXPECT_EQ(greedy_arbitrate(1, 2), CmDecision::kWait);
-  EXPECT_EQ(greedy_arbitrate(2, 1), CmDecision::kAbortSelf);
-  // An owner with no ticket (mixed-policy run) counts as youngest.
-  EXPECT_EQ(greedy_arbitrate(7, ~std::uint64_t{0}), CmDecision::kWait);
 }
 
 }  // namespace

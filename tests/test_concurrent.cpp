@@ -144,7 +144,9 @@ TEST_P(StressAllConfigs, MapConcurrentInsertEraseFind) {
         std::uint64_t v = 0;
         bool found = false;
         atomic([&](Tx& tx) { found = map.find(tx, key, &v); });
-        if (found) EXPECT_EQ(v, key * 2);
+        if (found) {
+          EXPECT_EQ(v, key * 2);
+        }
       }
     }
     net.fetch_add(local);
@@ -266,10 +268,9 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, StressAllConfigs,
 // publishing store is what carries the isolation.
 namespace {
 
-/// Shared body of the torn-observer opacity checks: an elided writer
-/// publishes two-field nodes, read-only observers must never see the
-/// fields disagree. Parameterized over the full TxConfig so it can cross
-/// both the elision axis and the contention-manager axis.
+/// Body of the torn-observer opacity check for one writer config: an
+/// elided writer publishes two-field nodes, read-only observers must never
+/// see the fields disagree.
 void expect_no_torn_observations(const TxConfig& cfg) {
   struct Node {
     std::uint64_t a;
@@ -337,23 +338,6 @@ TEST(Isolation, ObserversNeverSeeTornStateFromElidedWriters) {
       TxConfig::runtime_rw(AllocLogKind::kFilter),
   };
   for (const TxConfig& cfg : writer_configs) expect_no_torn_observations(cfg);
-}
-
-// PR 4's opacity smoke re-run against the epoch-batched commit path: the
-// readers' snapshots now come from the lazily published epoch and the
-// writers stamp from reserved ranges, while conflicts are arbitrated by
-// each contention manager in turn. The publish-before-release invariant
-// (gclock.hpp) is exactly what makes the no-torn-state assertion hold
-// here; a regression in it (or a CM that lets a doomed writer's partial
-// state escape) trips this immediately.
-TEST(Isolation, LazyClockObserversNeverSeeTornStateUnderAnyCM) {
-  for (const ContentionPolicy cm :
-       {ContentionPolicy::kBackoff, ContentionPolicy::kKarma,
-        ContentionPolicy::kGreedy}) {
-    SCOPED_TRACE(static_cast<int>(cm));
-    expect_no_torn_observations(
-        TxConfig::runtime_w(AllocLogKind::kTree).with_contention(cm));
-  }
 }
 
 TEST(Isolation, NoDirtyReadsOfUncommittedState) {

@@ -4,11 +4,9 @@
 // OUTCOMES. This suite runs one randomized container+malloc workload to a
 // fixed seed under EVERY barrier preset (full / static / stack+heap+priv
 // and heap-only across all three alloc-log structures / heap reads only /
-// counting / the online-adaptive structure selector),
-// plus a contention-manager cross on a representative barrier subset and a
-// durable-mode cross (redo logging + flush accounting riding commit), and
-// asserts bit-identical final state and identical commit counts across all
-// of them.
+// counting / the online-adaptive structure selector), plus a durable-mode
+// cross (redo logging + flush accounting riding commit), and asserts
+// bit-identical final state and identical commit counts across all of them.
 //
 // The workload is single-threaded on purpose: with no conflicts the
 // execution is fully deterministic, so any digest divergence is a real
@@ -39,9 +37,10 @@ constexpr int kSteps = 12000;
 constexpr std::uint64_t kKeyRange = 256;
 
 /// Every barrier preset named by the paper plus a heap-read-only config no
-/// preset names (reads checked, writes full).
+/// preset names (reads checked, writes full): 13 barrier presets, 3
+/// adaptive and 3 durable.
 std::vector<std::pair<std::string, TxConfig>> all_presets() {
-  std::vector<std::pair<std::string, TxConfig>> presets = {
+  return {
       {"full", TxConfig::baseline()},
       {"static", TxConfig::compiler()},
       {"rw_tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
@@ -62,34 +61,17 @@ std::vector<std::pair<std::string, TxConfig>> all_presets() {
       {"rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
       {"w_adaptive", TxConfig::runtime_w(AllocLogKind::kAdaptive)},
       {"heap_w_adaptive", TxConfig::runtime_heap_w(AllocLogKind::kAdaptive)},
+      // Durable mode: the redo-log serialization + flush leg rides commit
+      // and may change PERSISTENCE only, never outcomes. No heap is active
+      // in this suite, so these run against the fallback volatile log —
+      // the identical serialization/accounting code path, minus the
+      // medium. Crossed with the three barrier families whose elision
+      // decisions feed the redo log differently: none (every store
+      // logged), static, runtime stack+heap.
+      {"durable_full", TxConfig::durable_baseline()},
+      {"durable_static", TxConfig::compiler().with_durable()},
+      {"durable_rw_filter", TxConfig::durable_rw(AllocLogKind::kFilter)},
   };
-  // Durable mode: the redo-log serialization + flush leg rides commit and
-  // may change PERSISTENCE only, never outcomes. No heap is active in this
-  // suite, so these run against the fallback volatile log — the identical
-  // serialization/accounting code path, minus the medium. Crossed with the
-  // three barrier families whose elision decisions feed the redo log
-  // differently: none (every store logged), static, runtime stack+heap.
-  presets.emplace_back("durable_full", TxConfig::durable_baseline());
-  presets.emplace_back("durable_static", TxConfig::compiler().with_durable());
-  presets.emplace_back("durable_rw_filter",
-                       TxConfig::durable_rw(AllocLogKind::kFilter));
-  // Contention-manager cross: CM selection arbitrates WHO wins a conflict,
-  // so on a conflict-free single-threaded run it must be invisible — any
-  // digest divergence here means a CM leaked into committed state. A
-  // representative subset of the barrier axis (full barriers, static
-  // elision, the full runtime-check preset) crossed with the two priority
-  // CMs; kBackoff is already preset 0's policy.
-  for (const auto& [cm_name, cm] :
-       {std::pair<const char*, ContentionPolicy>{"karma", ContentionPolicy::kKarma},
-        std::pair<const char*, ContentionPolicy>{"greedy", ContentionPolicy::kGreedy}}) {
-    presets.emplace_back(std::string("full_") + cm_name,
-                         TxConfig::baseline().with_contention(cm));
-    presets.emplace_back(std::string("static_") + cm_name,
-                         TxConfig::compiler().with_contention(cm));
-    presets.emplace_back(std::string("rw_tree_") + cm_name,
-                         TxConfig::runtime_rw(AllocLogKind::kTree).with_contention(cm));
-  }
-  return presets;
 }
 
 struct Digest {

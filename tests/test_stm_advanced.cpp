@@ -1,6 +1,7 @@
 // Advanced STM semantics: timestamp extension, false conflicts at orec
-// granularity, contention policies, dead-stack undo filtering, opacity
-// under mixed loads, and the harness plumbing.
+// granularity, the backoff contention policy and its accounting,
+// dead-stack undo filtering, opacity under mixed loads, and the harness
+// plumbing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -79,26 +80,58 @@ TEST_F(StmAdvanced, FalseConflictsAtCacheLineGranularity) {
 }
 
 TEST_F(StmAdvanced, ContentionPolicies) {
-  for (const ContentionPolicy policy :
-       {ContentionPolicy::kBackoff, ContentionPolicy::kSuicide,
-        ContentionPolicy::kSpinThenAbort, ContentionPolicy::kKarma,
-        ContentionPolicy::kGreedy}) {
-    TxConfig cfg = TxConfig::baseline();
-    cfg.contention = policy;
-    set_global_config(cfg);
-    stats_reset();
-    alignas(64) std::uint64_t counter = 0;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t) {
-      threads.emplace_back([&] {
-        for (int i = 0; i < 5000; ++i) {
-          atomic([&](Tx& tx) { tm_add(tx, &counter, std::uint64_t{1}); });
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(counter, 40000u) << static_cast<int>(policy);
+  // Eight threads on one counter under the one contention policy (abort
+  // self, back off before the retry): no increment may be lost.
+  alignas(64) std::uint64_t counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 5000; ++i) {
+        atomic([&](Tx& tx) { tm_add(tx, &counter, std::uint64_t{1}); });
+      }
+    });
   }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(counter, 40000u);
+}
+
+TEST_F(StmAdvanced, LockConflictAbortsCountAsBackoffAborts) {
+  // This thread holds x's orec until the other thread's transaction has
+  // started a second attempt. That transaction only writes x, so every
+  // abort it takes is a lock conflict, and the contention counter must
+  // account for each one.
+  alignas(64) std::uint64_t x = 0;
+  std::atomic<bool> locked{false};
+  std::atomic<int> attempts{0};
+  std::thread contender([&] {
+    while (!locked.load()) std::this_thread::yield();
+    atomic([&](Tx& tx) {
+      attempts.fetch_add(1);
+      tm_write(tx, &x, std::uint64_t{2});
+    });
+  });
+  atomic([&](Tx& tx) {
+    tm_write(tx, &x, std::uint64_t{1});
+    locked.store(true);
+    while (attempts.load() < 2) std::this_thread::yield();
+  });
+  contender.join();
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(x, 2u);
+  EXPECT_GE(s.aborts, 1u);
+  EXPECT_EQ(s.cm_aborts_backoff, s.aborts);
+}
+
+TEST_F(StmAdvanced, CancelEndsTheAbortStreak) {
+  // A cancelled transaction must not hand its abort streak to the next,
+  // unrelated one, whose first backoff would then start at a later step.
+  int attempts = 0;
+  atomic([&](Tx& tx) {
+    if (++attempts <= 3) tx.abort_self();
+    abort_tx();
+  });
+  EXPECT_EQ(attempts, 4);
+  EXPECT_EQ(current_tx().consecutive_aborts, 0u);
 }
 
 TEST_F(StmAdvanced, ReadOnlyTransactionsDoNotAdvanceClock) {

@@ -1,13 +1,12 @@
 // High-thread correctness torture tier (ctest label: stress).
 //
-// On this 1-core CI box the scalability work — epoch-batched clock,
-// striped orecs, pluggable contention managers — cannot be gated on
-// throughput, so it is gated on correctness under heavy oversubscription
-// instead: 16 and 32 threads hammering shared containers through every
-// contention manager, under release, ASan, and TSan.
+// On a 1-core CI box the scalability work — epoch-batched clock, striped
+// orecs, backoff contention management — cannot be gated on throughput, so
+// it is gated on correctness under heavy oversubscription instead: 16 and
+// 32 threads hammering shared containers, under release, ASan, and TSan.
 //
 // The workload is designed so its FINAL STATE is interleaving-independent
-// and therefore identical across thread counts and CM policies:
+// and therefore identical across thread counts:
 //
 //  * operations are indexed 0..kTotalOps and operation i is a pure
 //    function of i; thread t of T executes exactly the ops with
@@ -20,7 +19,7 @@
 //
 // Conflicts are still plentiful — different threads collide on the same
 // map nodes, hashtable buckets, counter orec, and container internals —
-// so the CMs, the lazy-validation clock, and the striped table all get
+// so the backoff, the lazy-validation clock, and the striped table all get
 // exercised; they just must not be OBSERVABLE. Two assertions per run:
 // the digest matches every other run's, and zero commits are lost
 // (commits == ops executed, and the counter balances to its closed-form
@@ -100,8 +99,8 @@ void run_op(int i, TxMap<std::uint64_t, std::uint64_t>& map,
   }
 }
 
-RunOutcome run_stress(ContentionPolicy cm, unsigned threads) {
-  set_global_config(TxConfig::baseline().with_contention(cm));
+RunOutcome run_stress(unsigned threads) {
+  set_global_config(TxConfig::baseline());
   stats_reset();
 
   TxMap<std::uint64_t, std::uint64_t> map;
@@ -170,26 +169,14 @@ std::uint64_t expected_counter() {
   return sum;
 }
 
-TEST(Stress, HighThreadDifferentialAcrossContentionManagers) {
+TEST(Stress, HighThreadDifferentialAcrossThreadCounts) {
   const std::uint64_t want_counter = expected_counter();
-  struct Cell {
-    const char* name;
-    ContentionPolicy cm;
-    unsigned threads;
-  };
-  const Cell cells[] = {
-      {"backoff/16", ContentionPolicy::kBackoff, 16},
-      {"backoff/32", ContentionPolicy::kBackoff, 32},
-      {"karma/16", ContentionPolicy::kKarma, 16},
-      {"karma/32", ContentionPolicy::kKarma, 32},
-      {"greedy/16", ContentionPolicy::kGreedy, 16},
-      {"greedy/32", ContentionPolicy::kGreedy, 32},
-  };
+  const unsigned cells[] = {16, 32};
   RunOutcome reference{};
   bool have_reference = false;
-  for (const Cell& c : cells) {
-    SCOPED_TRACE(std::string("cell: ") + c.name);
-    const RunOutcome out = run_stress(c.cm, c.threads);
+  for (const unsigned threads : cells) {
+    SCOPED_TRACE("threads: " + std::to_string(threads));
+    const RunOutcome out = run_stress(threads);
     // Zero lost commits: every op committed exactly once, aborts retried.
     EXPECT_EQ(out.commits, static_cast<std::uint64_t>(kTotalOps));
     // Conservation: additive effects balance to the closed form.
@@ -200,8 +187,8 @@ TEST(Stress, HighThreadDifferentialAcrossContentionManagers) {
       continue;
     }
     EXPECT_EQ(out.digest, reference.digest)
-        << c.name << " diverged from " << cells[0].name
-        << ": contention manager or thread count changed committed state";
+        << threads << " threads diverged from " << cells[0]
+        << ": thread count changed committed state";
   }
 }
 
