@@ -9,7 +9,8 @@ Usage: scripts/test_bench_gate.py [SMOKE_DIR]
   SMOKE_DIR  directory of records written by the harness smoke runs (the
              ctest smoke entries write <build>/smoke/*.json). Each one is
              schema-checked and compared against itself, without the work
-             floor: smoke cells run for less than 100 us.
+             floor: smoke cells run for less than 100 us. The --apps
+             entry's record must hold exactly the apps it asked for.
 """
 
 import copy
@@ -170,6 +171,19 @@ class SmokeRecords(unittest.TestCase):
             v, _ = bench_gate.compare(os.path.basename(path), rec, rec,
                                       TOLERANCE, work_floor=False)
             self.assertEqual(v, [], path)
+
+    def test_apps_filter_record(self):
+        # smoke_bench_fig10_apps runs fig10 with --apps kmeans-high,
+        # vacation-low: its record must hold rows for exactly those apps.
+        # The entry is bench-smoke; cells that skip that label lack it.
+        if SMOKE_DIR is None:
+            self.skipTest("no SMOKE_DIR given")
+        path = os.path.join(SMOKE_DIR, "smoke_bench_fig10_apps.json")
+        if not os.path.exists(path):
+            self.skipTest(f"{path} not written in this cell")
+        rec = bench_gate.load_record(path, work_floor=False)
+        self.assertEqual({row["app"] for row in rec["rows"]},
+                         {"kmeans-high", "vacation-low"}, path)
 
 
 if __name__ == "__main__":

@@ -16,9 +16,12 @@
 //
 // Which of these fields matter for a given transaction is decided once at
 // begin_top by the barrier plan (stm/barrier_plan.hpp); the specialized
-// fast paths then read the frame with zero indirect calls. The tree log's
-// membership test stays an out-of-line direct call (it walks an AVL tree);
-// array and filter membership inline completely.
+// fast paths then read the frame with zero indirect calls. Array and filter
+// membership inline completely. The tree log and the private registry
+// inline their span check (capture/tree_log.hpp): an access outside the
+// span misses in two compares, and only an access inside it calls the
+// out-of-line AVL floor search. So a shared read outside every logged and
+// annotated block reaches the full barrier with no other call.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +69,9 @@ struct alignas(kCacheLineSize) CaptureFrame {
            a + n <= stack_begin;
   }
 
-  bool tree_contains(const void* addr, std::size_t n) const {
-    return tree->contains(addr, n);  // direct call, O(log n) AVL walk
+  [[gnu::always_inline]] bool tree_contains(const void* addr,
+                                            std::size_t n) const {
+    return tree->contains(addr, n);  // inline span check, then the AVL walk
   }
   bool array_contains(const void* addr, std::size_t n) const {
     return array.contains(addr, n);  // one-line scan, fully inlined
@@ -76,7 +80,8 @@ struct alignas(kCacheLineSize) CaptureFrame {
     return FilterAllocLog::contains_in(filter_table, filter_shift,
                                        filter_epoch, addr, n);
   }
-  bool priv_contains(const void* addr, std::size_t n) const {
+  [[gnu::always_inline]] bool priv_contains(const void* addr,
+                                            std::size_t n) const {
     return priv->contains(addr, n);
   }
 };

@@ -133,6 +133,8 @@ void TreeAllocLog::insert(const void* addr, std::size_t size) {
   const auto begin = reinterpret_cast<std::uintptr_t>(addr);
   root_ = insert_rec(root_, begin, begin + size);
   ++count_;
+  lo_ = std::min(lo_, begin);
+  hi_ = std::max(hi_, begin + size);
 }
 
 void TreeAllocLog::erase(const void* addr, std::size_t /*size*/) {
@@ -141,9 +143,7 @@ void TreeAllocLog::erase(const void* addr, std::size_t /*size*/) {
   if (erased && count_ > 0) --count_;
 }
 
-bool TreeAllocLog::contains(const void* addr, std::size_t size) const {
-  const auto a = reinterpret_cast<std::uintptr_t>(addr);
-  // Floor search: greatest begin <= a.
+bool TreeAllocLog::floor_contains(std::uintptr_t a, std::size_t size) const {
   std::int32_t cur = root_;
   std::int32_t best = kNil;
   while (cur != kNil) {
@@ -165,6 +165,8 @@ void TreeAllocLog::clear() {
   free_list_.clear();
   root_ = kNil;
   count_ = 0;
+  lo_ = ~std::uintptr_t{0};
+  hi_ = 0;
 }
 
 int TreeAllocLog::height() const { return node_height(root_); }

@@ -7,6 +7,13 @@
 // candidate block containing an address is exactly the one with the greatest
 // base <= address. Misses terminate after O(log n) comparisons, satisfying
 // the paper's "optimize the miss path" design principle.
+//
+// Span check: the log also keeps a conservative span [lo, hi) that covers
+// every live block. insert() grows it, erase() never shrinks it, clear()
+// empties it (lo > hi). An access outside the span cannot lie inside any
+// block, so contains() answers those misses inline in two compares; only
+// an access inside the span pays the out-of-line floor search, which stays
+// the exact answer. The span never decides a hit, so the log stays precise.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +29,12 @@ class TreeAllocLog {
 
   void insert(const void* addr, std::size_t size);
   void erase(const void* addr, std::size_t size);
-  bool contains(const void* addr, std::size_t size) const;
+  [[gnu::always_inline]] bool contains(const void* addr,
+                                       std::size_t size) const {
+    const auto a = reinterpret_cast<std::uintptr_t>(addr);
+    if (a < lo_ || a + size > hi_) return false;
+    return floor_contains(a, size);
+  }
   void clear();
   std::size_t entries() const { return count_; }
   const char* name() const { return "tree"; }
@@ -41,6 +53,10 @@ class TreeAllocLog {
     std::int32_t height = 1;
   };
 
+  /// The exact membership test: floor search for the block with the
+  /// greatest base <= a.
+  bool floor_contains(std::uintptr_t a, std::size_t size) const;
+
   std::int32_t node_height(std::int32_t n) const {
     return n == kNil ? 0 : nodes_[static_cast<std::size_t>(n)].height;
   }
@@ -58,6 +74,9 @@ class TreeAllocLog {
   std::vector<std::int32_t> free_list_;
   std::int32_t root_ = kNil;
   std::size_t count_ = 0;
+  // The span; empty (lo_ > hi_) after construction and clear().
+  std::uintptr_t lo_ = ~std::uintptr_t{0};
+  std::uintptr_t hi_ = 0;
 };
 
 static_assert(CaptureLog<TreeAllocLog>);

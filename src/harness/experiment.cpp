@@ -9,6 +9,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 
 #include "durable/durable_heap.hpp"
 #include "stm/stm.hpp"
@@ -16,6 +17,32 @@
 #include "txir/kernels.hpp"
 
 namespace cstm::harness {
+
+namespace {
+
+/// Splits the --apps list at commas, exiting 2 with the valid names on an
+/// empty or unknown one.
+std::vector<std::string> parse_apps(const std::string& list) {
+  const std::vector<std::string>& valid = stamp::app_names();
+  std::vector<std::string> apps;
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t comma = list.find(',', pos);
+    std::string name = list.substr(pos, comma - pos);
+    if (std::find(valid.begin(), valid.end(), name) == valid.end()) {
+      std::fprintf(stderr, "--apps: unknown app '%s'; valid apps:",
+                   name.c_str());
+      for (const std::string& v : valid) std::fprintf(stderr, " %s", v.c_str());
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+    apps.push_back(std::move(name));
+    if (comma == std::string::npos) return apps;
+    pos = comma + 1;
+  }
+}
+
+}  // namespace
 
 Options parse_options(int argc, char** argv) {
   Options opt;
@@ -49,6 +76,8 @@ Options parse_options(int argc, char** argv) {
                      opt.capture_log.c_str());
         std::exit(2);
       }
+    } else if (std::strcmp(argv[i], "--apps") == 0) {
+      opt.apps = parse_apps(need_value("--apps"));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       // ctest bit-rot gate: exercise every code path in seconds, not minutes.
       opt.scale = 0.01;
@@ -58,7 +87,7 @@ Options parse_options(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--scale S] [--reps N] [--threads T] [--seed X] "
                    "[--batch B] [--capture-log tree|array|filter|adaptive] "
-                   "[--json FILE] [--smoke]\n",
+                   "[--apps A,B] [--json FILE] [--smoke]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -99,6 +128,19 @@ std::vector<std::pair<std::string, TxConfig>> table_configs() {
 }
 
 namespace {
+
+/// The apps a per-app experiment runs: every STAMP app, or the --apps
+/// selection, in stamp::app_names() order.
+std::vector<std::string> selected_apps(const Options& opt) {
+  std::vector<std::string> apps;
+  for (const std::string& app : stamp::app_names()) {
+    if (opt.apps.empty() ||
+        std::find(opt.apps.begin(), opt.apps.end(), app) != opt.apps.end()) {
+      apps.push_back(app);
+    }
+  }
+  return apps;
+}
 
 /// One measured cell: @p app under @p cfg at @p threads (and @p batch, as in
 /// run_once). @p config is the record label; a swept value other than the
@@ -227,7 +269,7 @@ std::vector<Row> speedup_table(
     const char* experiment, const Options& opt, int threads,
     const std::vector<std::pair<std::string, TxConfig>>& configs) {
   std::vector<Cell> cells;
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     cells.push_back({app, "baseline", TxConfig::baseline(), threads});
     for (const auto& [name, cfg] : configs) {
       cells.push_back({app, name, cfg, threads});
@@ -237,7 +279,7 @@ std::vector<Row> speedup_table(
   std::printf("%-15s", "app");
   for (const auto& [name, cfg] : configs) std::printf(" %14s", name.c_str());
   std::printf("\n");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     const Row& base = find_row(rows, app, "baseline", threads);
     std::printf("%-15s", app.c_str());
     for (const auto& [name, cfg] : configs) {
@@ -264,7 +306,7 @@ void fig8_breakdown(const Options& opt) {
               "reads", "heap%", "stack%", "other%", "req%", "writes", "heap%",
               "stack%", "other%", "req%");
   TxStats all_sum;
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     const RunResult res = run_once(app, 1, TxConfig::counting(), opt);
     const TxStats& s = res.stats;
     std::printf("%-15s %10llu %8.1f %8.1f %8.1f %8.1f   %10llu %8.1f %8.1f %8.1f %8.1f\n",
@@ -302,7 +344,7 @@ void fig9_removed(const Options& opt) {
     std::printf(" %9s-R %9s-W", name.c_str(), name.c_str());
   }
   std::printf("\n");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     std::printf("%-15s", app.c_str());
     for (const auto& [name, cfg] : techniques) {
       const RunResult res = run_once(app, 1, cfg, opt);
@@ -352,7 +394,7 @@ void fig11a_scaling(const Options& opt) {
       {"compiler", TxConfig::compiler()},
   };
   std::vector<Cell> cells;
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     for (const auto& [name, cfg] : configs) {
       for (int t : counts) cells.push_back({app, name, cfg, t});
     }
@@ -362,7 +404,7 @@ void fig11a_scaling(const Options& opt) {
   std::printf("%-15s %-12s", "app", "config");
   for (int t : counts) std::printf(" %8dT", t);
   std::printf("\n");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     for (const auto& [name, cfg] : configs) {
       std::printf("%-15s %-12s", app.c_str(), name.c_str());
       for (int t : counts) {
@@ -388,7 +430,7 @@ void table1_aborts(const Options& opt) {
   std::printf("%-15s", "app");
   for (const auto& [name, cfg] : table_configs()) std::printf(" %10s", name.c_str());
   std::printf("\n");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     std::printf("%-15s", app.c_str());
     for (const auto& [name, cfg] : table_configs()) {
       const RunResult res = run_once(app, opt.threads, cfg, opt);
@@ -405,7 +447,7 @@ void table2_variance(const Options& opt) {
   std::printf("%-15s", "app");
   for (const auto& [name, cfg] : table_configs()) std::printf(" %10s", name.c_str());
   std::printf("\n");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     std::printf("%-15s", app.c_str());
     for (const auto& [name, cfg] : table_configs()) {
       std::vector<double> times;
@@ -504,7 +546,7 @@ void adaptive_sweep(const Options& opt) {
                 "# array-overflow%% of allocations, capture-hit%% of accesses\n");
     std::printf("%-15s %15s %9s %6s %6s\n", "app", "a/f/t%", "sw", "ovf%",
                 "cap%");
-    for (const auto& app : stamp::app_names()) {
+    for (const auto& app : selected_apps(opt)) {
       const TxStats& s = find_row(rows, app, "adaptive", opt.threads).counters;
       const std::uint64_t txs = s.adaptive_txs_array + s.adaptive_txs_filter +
                                 s.adaptive_txs_tree;
@@ -528,7 +570,7 @@ void durable_sweep(const Options& opt) {
   // are flush-accounted but never replayed.
   const TxConfig ref = TxConfig::runtime_rw(AllocLogKind::kFilter);
   std::vector<Cell> cells;
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     cells.push_back({app, "nondurable", ref, opt.threads});
     cells.push_back({app, "durable", ref.with_durable(), opt.threads});
     cells.push_back({app, "durable-nocapture", TxConfig::durable_baseline(),
@@ -560,7 +602,7 @@ void durable_sweep(const Options& opt) {
   std::printf("%-15s %10s %10s %8s %10s %8s %9s %10s %10s %10s\n", "app",
               "ref-s", "dur-s", "ovh%", "nocap-s", "ovh%", "elided%", "pwbs",
               "nocap-pwb", "logged");
-  for (const auto& app : stamp::app_names()) {
+  for (const auto& app : selected_apps(opt)) {
     const Row& base = find_row(rows, app, "nondurable", opt.threads);
     const Row& cap = find_row(rows, app, "durable", opt.threads);
     const Row& nocap = find_row(rows, app, "durable-nocapture", opt.threads);

@@ -40,10 +40,13 @@ struct Options {
   /// structure for the experiments that take one (txbatch_stream's merge
   /// sweep, adaptive_sweep's config filter). Empty = experiment default.
   std::string capture_log;
+  /// --apps a,b: the STAMP apps the per-app experiments run, each checked
+  /// against stamp::app_names() at parse time. Empty = every app.
+  std::vector<std::string> apps;
 };
 
-/// Parses --scale/--reps/--threads/--seed/--batch/--capture-log/--json;
-/// unknown flags abort with usage.
+/// Parses --scale/--reps/--threads/--seed/--batch/--capture-log/--apps/
+/// --json; unknown flags and unknown app names exit 2 with usage.
 Options parse_options(int argc, char** argv);
 
 struct RunResult {

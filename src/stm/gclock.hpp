@@ -52,6 +52,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "support/cacheline.hpp"
 
@@ -73,12 +74,9 @@ class GlobalClock {
   /// across a burst of commits.
   static constexpr std::uint64_t kDefaultBatch = 64;
 
-  explicit GlobalClock(std::uint64_t batch = kDefaultBatch,
-                       std::uint64_t initial = 0)
-      : batch_(batch == 0 ? 1 : batch) {
-    reserve_.value.store(initial, std::memory_order_relaxed);
-    published_.value.store(initial, std::memory_order_relaxed);
-  }
+  constexpr explicit GlobalClock(std::uint64_t batch = kDefaultBatch,
+                                 std::uint64_t initial = 0)
+      : reserve_{initial}, published_{initial}, batch_(batch == 0 ? 1 : batch) {}
 
   /// The published epoch: every timestamp <= this value is from a commit
   /// (or abort) whose publication point has passed. Readers snapshot this
@@ -153,8 +151,14 @@ class GlobalClock {
   const std::uint64_t batch_;
 };
 
+static_assert(std::is_trivially_destructible_v<GlobalClock>,
+              "the process-wide clock must outlive every thread");
+
 /// The process-wide clock. Never reset — monotonicity keeps stale ownership
-/// record versions from previous runs harmless.
-GlobalClock& global_clock();
+/// record versions from previous runs harmless. Constant-initialized like
+/// the orec table (orec.hpp), so `global_clock()` inlines to its address.
+inline constinit GlobalClock g_global_clock{};
+
+inline GlobalClock& global_clock() { return g_global_clock; }
 
 }  // namespace cstm

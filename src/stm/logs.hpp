@@ -69,7 +69,7 @@ class TxLog {
 class UndoLog : public TxLog<UndoEntry> {
  public:
   /// Records the current bytes at [addr, addr+len), len <= 8.
-  void record(void* addr, std::uint32_t len) {
+  [[gnu::always_inline]] void record(void* addr, std::uint32_t len) {
     UndoEntry e{addr, 0, len};
     std::memcpy(&e.image, addr, len);
     push(e);

@@ -26,11 +26,20 @@
 // ADJACENT cache lines always map to different records — the index delta of
 // lines differing by d is d * (kMix >> (64 - kIndexBits)) mod table size,
 // which is provably nonzero for small d (see tests/test_clock_orec.cpp).
+//
+// Storage: the one process-wide table is an `inline constinit` object that
+// holds its 8 MB of stripes in-object. Every record starts at zero (version
+// 0, unlocked), so the table is constant-initialized into .bss: no
+// allocation, no zeroing loop, no static-init guard, and its pages are
+// touched lazily. `orec_table()` inlines to that object's address, so the
+// full barriers find their record with no call. The table is trivially
+// destructible, so no exit-time destructor can tear it down under a
+// thread that is still running transactions.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
+#include <type_traits>
 
 #include "support/cacheline.hpp"
 
@@ -69,21 +78,13 @@ class OrecTable {
   static constexpr std::uint64_t kMix = 0x9e3779b97f4a7c15ull;
 
   struct alignas(kCacheLineSize) Stripe {
-    std::atomic<std::uint64_t> slots[kStripeSlots];
+    std::atomic<std::uint64_t> slots[kStripeSlots]{};
   };
   static_assert(sizeof(Stripe) == kCacheLineSize,
                 "a stripe must be exactly one cache line");
   static_assert(alignof(Stripe) == kCacheLineSize,
                 "stripes must be cache-line aligned");
   static_assert(kStripes * kStripeSlots == kSize, "stripes must tile the table");
-
-  OrecTable() : stripes_(new Stripe[kStripes]) {
-    for (std::size_t s = 0; s < kStripes; ++s) {
-      for (std::size_t i = 0; i < kStripeSlots; ++i) {
-        stripes_[s].slots[i].store(0, std::memory_order_relaxed);
-      }
-    }
-  }
 
   std::atomic<std::uint64_t>& slot(const void* addr) {
     const std::size_t idx = index_of(addr);
@@ -105,10 +106,15 @@ class OrecTable {
   }
 
  private:
-  std::unique_ptr<Stripe[]> stripes_;
+  Stripe stripes_[kStripes]{};
 };
 
-/// The process-wide ownership record table.
-OrecTable& orec_table();
+static_assert(std::is_trivially_destructible_v<OrecTable>,
+              "the process-wide table must outlive every thread");
+
+/// The process-wide ownership record table (see "Storage" above).
+inline constinit OrecTable g_orec_table{};
+
+inline OrecTable& orec_table() { return g_orec_table; }
 
 }  // namespace cstm

@@ -1,6 +1,9 @@
 // Runtime globals and transaction lifecycle.
 #include <pthread.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
@@ -20,16 +23,6 @@ namespace cstm {
 // ---------------------------------------------------------------------------
 // Globals
 // ---------------------------------------------------------------------------
-
-GlobalClock& global_clock() {
-  static GlobalClock clock;
-  return clock;
-}
-
-OrecTable& orec_table() {
-  static OrecTable table;
-  return table;
-}
 
 namespace {
 
@@ -137,20 +130,36 @@ void stats_reset() {
 // Descriptor lifecycle
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Without its stack's low bound, rollback would skip every undo entry in
+/// [0, start_sp), heap included, and an abort would leave heap writes in
+/// place. No transaction may run on such a thread.
+[[noreturn]] void stack_bounds_unknown(const char* call, int err) {
+  std::fprintf(stderr,
+               "capstm: %s failed (%s); the thread's stack bounds are "
+               "unknown, so undo rollback cannot run\n",
+               call, std::strerror(err));
+  std::abort();
+}
+
+}  // namespace
+
 Tx::Tx() : backoff_(next_backoff_seed()) {
   // Cache this thread's stack bounds: undo rollback must skip every entry
   // in [stack_low, start_sp) — memory that did not exist when the
   // transaction began is dead on abort, and by rollback time those
   // addresses may hold the live frames of the rollback code itself.
   pthread_attr_t attr;
-  if (pthread_getattr_np(pthread_self(), &attr) == 0) {
-    void* addr = nullptr;
-    std::size_t size = 0;
-    if (pthread_attr_getstack(&attr, &addr, &size) == 0) {
-      stack_low = reinterpret_cast<std::uintptr_t>(addr);
-    }
-    pthread_attr_destroy(&attr);
+  if (const int err = pthread_getattr_np(pthread_self(), &attr); err != 0) {
+    stack_bounds_unknown("pthread_getattr_np", err);
   }
+  void* addr = nullptr;
+  std::size_t size = 0;
+  const int err = pthread_attr_getstack(&attr, &addr, &size);
+  pthread_attr_destroy(&attr);
+  if (err != 0) stack_bounds_unknown("pthread_attr_getstack", err);
+  stack_low = reinterpret_cast<std::uintptr_t>(addr);
   StatsRegistry& reg = stats_registry();
   std::lock_guard<std::mutex> lk(reg.mutex);
   reg.live.push_back(this);

@@ -7,6 +7,7 @@
 
 #include <thread>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -295,6 +296,83 @@ TEST(TreeLog, NodeRecyclingBoundsArena) {
   EXPECT_EQ(log.entries(), 0u);
 }
 
+// The inline span check in front of the floor search may only skip the walk
+// where the walk would answer false. Drive random insert, erase, same-base
+// re-insert and clear sequences against a brute-force list of live blocks,
+// probing the span's edges and the wide-but-stale span left behind when the
+// lowest and highest blocks are erased.
+TEST(TreeLog, SpanCheckMatchesBruteForce) {
+  Xoshiro256 rng(20091108);
+  TreeAllocLog log;
+  std::map<std::uintptr_t, std::uintptr_t> live;  // base -> end
+  // The span the log must keep: grown by insert, reset only by clear.
+  std::uintptr_t lo = ~std::uintptr_t{0};
+  std::uintptr_t hi = 0;
+  std::uint64_t probes = 0;
+  auto check = [&](std::uintptr_t a, std::size_t n) {
+    bool truth = false;
+    for (const auto& [base, end] : live) {
+      truth = truth || (base <= a && a + n <= end);
+    }
+    ++probes;
+    ASSERT_EQ(log.contains(ptr(a), n), truth)
+        << std::hex << "addr " << a << " len " << n << " span [" << lo << ", "
+        << hi << ")";
+  };
+  auto insert = [&](std::uintptr_t base, std::size_t size) {
+    log.insert(ptr(base), size);
+    // A same-base re-insert keeps the wider extent, as the log does.
+    live[base] = std::max(live[base], base + size);
+    lo = std::min(lo, base);
+    hi = std::max(hi, base + size);
+  };
+  auto erase = [&](std::uintptr_t base) {
+    log.erase(ptr(base), live[base] - base);
+    live.erase(base);
+  };
+  for (int round = 0; round < 20000; ++round) {
+    const int op = static_cast<int>(rng.below(100));
+    if (op < 35) {
+      // Blocks sit in 512-byte slots, so they stay disjoint; sizes 8..256.
+      insert(0x300000 + rng.below(256) * 512, std::size_t{8} << rng.below(6));
+    } else if (op < 40 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.below(live.size())));
+      insert(it->first, std::size_t{8} << rng.below(6));
+    } else if (op < 50 && !live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.below(live.size())));
+      erase(it->first);
+    } else if (op < 52 && live.size() >= 2) {
+      // Erase the extreme blocks: the span stays wide over now-dead memory,
+      // and only the walk can answer there.
+      const auto [low_base, low_end] = *live.begin();
+      const auto [high_base, high_end] = *live.rbegin();
+      erase(low_base);
+      erase(high_base);
+      check(low_base, 8);
+      check(low_end - 8, 8);
+      check(high_base, 8);
+      check(high_end - 8, 8);
+    } else if (op < 53) {
+      log.clear();
+      live.clear();
+      lo = ~std::uintptr_t{0};
+      hi = 0;
+    } else if (lo < hi) {
+      const std::size_t n = std::size_t{1} << rng.below(4);  // 1..8 bytes
+      check(lo - 1, n);
+      check(lo, n);
+      check(hi - n, n);
+      check(hi - n + 1, n);  // straddles hi unless n == 1
+      check(lo + rng.below(hi - lo), n);
+    } else {
+      check(0x300000 + rng.below(256 * 512), 8);
+    }
+  }
+  EXPECT_GT(probes, 40000u);  // the op mix must actually probe
+}
+
 // ---------------------------------------------------------------------------
 // Array-specific: capacity and overflow behaviour.
 // ---------------------------------------------------------------------------
@@ -483,6 +561,30 @@ TEST(PrivateRegistry, PersistsAcrossManyQueries) {
   reg.add(a.data(), 100 * 8);
   EXPECT_TRUE(reg.contains(&a[99], 8));
   EXPECT_FALSE(reg.contains(&b[0], 8));
+}
+
+TEST(PrivateRegistry, EmptyRegistryMissesEverywhere) {
+  std::uint64_t local[4] = {};
+  const std::vector<std::uint64_t> heap(4);
+  const std::uintptr_t probes[] = {
+      0,
+      8,
+      reinterpret_cast<std::uintptr_t>(&local[0]),
+      reinterpret_cast<std::uintptr_t>(&local[3]),
+      reinterpret_cast<std::uintptr_t>(heap.data()),
+      ~std::uintptr_t{0} - 8,
+  };
+  PrivateRegistry reg;
+  for (const std::uintptr_t a : probes) {
+    EXPECT_FALSE(reg.contains(ptr(a), 8)) << std::hex << a << " (fresh)";
+  }
+  reg.add(local, sizeof(local));
+  ASSERT_TRUE(reg.contains(&local[3], 8));
+  reg.remove(local, sizeof(local));
+  EXPECT_EQ(reg.entries(), 0u);
+  for (const std::uintptr_t a : probes) {
+    EXPECT_FALSE(reg.contains(ptr(a), 8)) << std::hex << a << " (emptied)";
+  }
 }
 
 TEST(PrivateRegistry, ThreadRegistryIsPerThread) {

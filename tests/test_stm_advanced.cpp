@@ -195,6 +195,20 @@ TEST_F(StmAdvanced, DeadStackUndoIsFiltered) {
   EXPECT_GE(attempts, 2);
 }
 
+TEST_F(StmAdvanced, StackBoundsBracketTheThreadStack) {
+  // Rollback skips undo entries in [stack_low, start_sp) as dead stack; an
+  // unknown (zero) stack_low would make that window swallow every heap
+  // address below the stack, and an abort would leave heap writes in place.
+  auto check = [](const char* where) {
+    const std::uint64_t local = 0;
+    const std::uintptr_t low = current_tx().stack_low;
+    EXPECT_NE(low, 0u) << where;
+    EXPECT_LT(low, reinterpret_cast<std::uintptr_t>(&local)) << where;
+  };
+  check("main thread");
+  std::thread([&] { check("std::thread"); }).join();
+}
+
 TEST_F(StmAdvanced, OpacityUnderMixedLoad) {
   // Invariant pair updated atomically; concurrent transactions compute with
   // the values (a zombie computing with inconsistent values would trip the
