@@ -16,10 +16,9 @@ Every row, keyed by (app, config, threads), gets the same rules:
   2. if its app has a "baseline" row at the same thread count, its
      improvement over that baseline must agree within +/- tol points;
   3. on 1-thread rows every counter must agree within +/- tol % relative
-     (an absent counter is 0, so zero vs nonzero is a violation), and
-     adaptive_switches must match exactly: single-thread counters are a
-     deterministic property of the fixed-seed workload, so drift there
-     means behaviour changed, not the scheduler;
+     (an absent counter is 0, so zero vs nonzero is a violation):
+     single-thread counters are a property of the fixed-seed workload, so
+     drift there means behaviour changed, not the scheduler;
   4. a committed row missing from the fresh run is a violation;
   5. work check: a row with commits == 0 or a median under 100 us did not
      measure real work. In the fresh run that is a violation.
@@ -177,11 +176,7 @@ def compare(name, committed, fresh, tolerance, work_floor=True):
             cc, fc = crow["counters"], frow["counters"]
             for counter in sorted(set(cc) | set(fc)):
                 c, f = cc.get(counter, 0), fc.get(counter, 0)
-                if counter == "adaptive_switches":
-                    bad = c != f
-                else:
-                    bad = (c == 0) != (f == 0) or abs(f - c) > tol * c
-                if bad:
+                if (c == 0) != (f == 0) or abs(f - c) > tol * c:
                     violations.append(
                         f"{cell}: counter {counter} {f} vs committed {c}")
         lines.append(line)

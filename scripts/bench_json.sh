@@ -11,8 +11,6 @@
 #  * BENCH_txbatch.json  — request streams through the merge layer at batch
 #                          sizes 1/4/16/64, 1 thread (the capture curve is a
 #                          single-thread property), scale 4.
-#  * BENCH_adaptive.json — the online capture-log policy vs the three fixed
-#                          structures, 1 thread, scale 3.
 #  * BENCH_durable.json  — durable commit overhead and flushes-elided% vs
 #                          the non-durable reference and the capture-disabled
 #                          durable baseline, 1 thread, scale 1.
@@ -39,7 +37,7 @@ jobs=$(nproc 2>/dev/null || echo 4)
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs" --target bench_fig10_single_thread \
   bench_fig11a_scal_configs bench_fig11b_structures bench_txbatch_stream \
-  bench_adaptive bench_durable
+  bench_durable
 
 ./build/bench_fig10_single_thread --scale "$scale" --reps "$reps" \
   --json "$out_dir/BENCH_fig10.json"
@@ -49,7 +47,5 @@ cmake --build build -j "$jobs" --target bench_fig10_single_thread \
   --json "$out_dir/BENCH_fig11b.json"
 ./build/bench_txbatch_stream --scale 4.0 --reps "$reps" --threads 1 \
   --json "$out_dir/BENCH_txbatch.json"
-./build/bench_adaptive --scale 3.0 --reps "$reps" --threads 1 \
-  --json "$out_dir/BENCH_adaptive.json"
 ./build/bench_durable --scale 1.0 --reps "$reps" --threads 1 \
   --json "$out_dir/BENCH_durable.json"

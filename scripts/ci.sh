@@ -10,13 +10,12 @@
 #    the matching CMake preset with the -Werror gate enabled, build, and
 #    run ctest with --output-on-failure and the per-test TIMEOUTs/LABELS
 #    registered in CMakeLists.txt. The high-thread `stress` tier, the
-#    txbatch `batch` tier, the `adaptive` tier, and the `durable` tier run
-#    in all three cells, so the backoff retry loop, the batched clock,
-#    the merge layer's compensation path, the online log-selection policy,
-#    and the durable commit leg are raced under both sanitizers on every
-#    push. The tsan preset excludes only bench-smoke and the fork-based
-#    `crash` recovery harness (TSan and fork() don't mix); the crash tests
-#    still run under release AND ASan.
+#    txbatch `batch` tier and the `durable` tier run in all three cells,
+#    so the backoff retry loop, the batched clock, the merge layer's
+#    compensation path and the durable commit leg are raced under both
+#    sanitizers on every push. The tsan preset excludes only bench-smoke
+#    and the fork-based `crash` recovery harness (TSan and fork() don't
+#    mix); the crash tests still run under release AND ASan.
 #  * `release` additionally writes the static-analysis elision table and
 #    the (advisory) bench-gate report into ci-artifacts/ for the workflow
 #    to upload, and builds and smoke-runs the repository benchmark
@@ -87,7 +86,7 @@ run_preset() {
     echo "== ci.sh: ccache stats =="
     ccache -s | sed -n '1,6p'
   fi
-  echo "== ci.sh: ctest preset '$preset' (labels: unit, torture, stress, batch, adaptive, durable, crash, bench-smoke) =="
+  echo "== ci.sh: ctest preset '$preset' (labels: unit, torture, stress, batch, durable, crash, bench-smoke) =="
   ctest --preset "$preset" --output-on-failure
 }
 

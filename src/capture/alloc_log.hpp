@@ -26,40 +26,19 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace cstm {
 
-/// kTree/kArray/kFilter name a concrete structure. kAdaptive is a TAG, not a
-/// structure: it asks the runtime to pick among the three online
-/// (capture/adaptive.hpp). It is resolved to a concrete kind when the
-/// BarrierPlan is compiled at begin_top, so no barrier ever dispatches on it.
-enum class AllocLogKind : std::uint8_t {
-  kTree = 0,
-  kArray = 1,
-  kFilter = 2,
-  kAdaptive = 3
-};
+/// The three structures the paper compares (Figure 11(b)).
+enum class AllocLogKind : std::uint8_t { kTree = 0, kArray = 1, kFilter = 2 };
 
 inline const char* to_string(AllocLogKind k) {
   switch (k) {
     case AllocLogKind::kTree: return "tree";
     case AllocLogKind::kArray: return "array";
     case AllocLogKind::kFilter: return "filter";
-    case AllocLogKind::kAdaptive: return "adaptive";
   }
   return "?";
-}
-
-/// Parses a `--capture-log` style name. Returns false (leaving @p out
-/// untouched) on anything but tree/array/filter/adaptive.
-inline bool alloc_log_from_name(std::string_view name, AllocLogKind* out) {
-  if (name == "tree") *out = AllocLogKind::kTree;
-  else if (name == "array") *out = AllocLogKind::kArray;
-  else if (name == "filter") *out = AllocLogKind::kFilter;
-  else if (name == "adaptive") *out = AllocLogKind::kAdaptive;
-  else return false;
-  return true;
 }
 
 /// The interface every allocation log models, checked statically:

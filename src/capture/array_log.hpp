@@ -65,8 +65,8 @@ class ArrayAllocLog {
   const char* name() const { return "array"; }
 
   /// Cumulative number of allocations that did not fit (diagnostic; clear()
-  /// does NOT reset it, so the adaptive policy and TxStats::array_overflows
-  /// read per-epoch overflow pressure as deltas of this counter).
+  /// does NOT reset it, so TxStats::array_overflows reads per-transaction
+  /// overflows as deltas of this counter).
   std::uint64_t dropped() const { return dropped_; }
 
   /// High-water mark of entries() since construction (diagnostic: how close

@@ -23,7 +23,6 @@ void FilterAllocLog::insert(const void* addr, std::size_t size) {
     if (e.epoch != epoch_) ++words_live_;
     e.word = w;
     e.epoch = epoch_;
-    ++words_marked_;
   }
   ++blocks_;
 }

@@ -73,18 +73,10 @@ class FilterAllocLog {
   std::size_t table_size() const { return table_.size(); }
   std::uint64_t words_skipped() const { return words_skipped_; }
 
-  /// Live occupancy: table slots holding a current-epoch mark RIGHT NOW.
-  /// clear() is an epoch bump that invalidates every mark at once, so this
-  /// resets to zero with it — the count the adaptive policy and stats must
-  /// see, where entries() historically kept counting blocks the epoch had
-  /// already retired.
+  /// Live occupancy: table slots holding a current-epoch mark RIGHT NOW
+  /// (diagnostic). clear() is an epoch bump that invalidates every mark at
+  /// once, so this resets to zero with it.
   std::size_t occupancy() const { return words_live_; }
-
-  /// Cumulative words marked by insert() since construction. Epoch bumps do
-  /// NOT reset it (occupancy() does that), so per-epoch deltas measure the
-  /// filter's marking pressure — the adaptive policy's signal for "this
-  /// workload pays per-word insertion cost the tree would not".
-  std::uint64_t words_marked() const { return words_marked_; }
 
  private:
   static constexpr std::uintptr_t kWordMask = ~static_cast<std::uintptr_t>(7);
@@ -102,7 +94,6 @@ class FilterAllocLog {
   std::uint64_t epoch_ = 1;
   std::size_t blocks_ = 0;
   std::size_t words_live_ = 0;
-  std::uint64_t words_marked_ = 0;
   std::uint64_t words_skipped_ = 0;
 };
 

@@ -3,9 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -42,9 +46,40 @@ std::vector<std::string> parse_apps(const std::string& list) {
   }
 }
 
+/// Parses a numeric flag's whole value as an integer in [lo, hi], exiting 2
+/// with a message naming the flag on anything else ("2x", "-1", "").
+std::uint64_t parse_uint(const char* flag, const char* text, std::uint64_t lo,
+                         std::uint64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr, "%s wants a whole number in [%llu, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), text);
+    std::exit(2);
+  }
+  return v;
+}
+
+/// Parses --scale: a finite number above 0 (every app sizes its input as
+/// scale times a base count, so 0 would run empty inputs and a negative
+/// scale would be cast to size_t).
+double parse_scale(const char* text) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    std::fprintf(stderr, "--scale wants a finite number > 0, got '%s'\n", text);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 Options parse_options(int argc, char** argv) {
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   Options opt;
   for (int i = 1; i < argc; ++i) {
     auto need_value = [&](const char* flag) -> const char* {
@@ -55,27 +90,22 @@ Options parse_options(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--scale") == 0) {
-      opt.scale = std::atof(need_value("--scale"));
+      opt.scale = parse_scale(need_value("--scale"));
     } else if (std::strcmp(argv[i], "--reps") == 0) {
-      opt.reps = std::atoi(need_value("--reps"));
+      opt.reps = static_cast<int>(
+          parse_uint("--reps", need_value("--reps"), 1, kIntMax));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opt.threads = std::atoi(need_value("--threads"));
+      opt.threads = static_cast<int>(
+          parse_uint("--threads", need_value("--threads"), 1, kIntMax));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = std::strtoull(need_value("--seed"), nullptr, 10);
+      opt.seed = parse_uint("--seed", need_value("--seed"), 0,
+                            std::numeric_limits<std::uint64_t>::max());
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       opt.batch = static_cast<std::size_t>(
-          std::strtoull(need_value("--batch"), nullptr, 10));
+          parse_uint("--batch", need_value("--batch"), 0,
+                     std::numeric_limits<std::size_t>::max()));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt.json = need_value("--json");
-    } else if (std::strcmp(argv[i], "--capture-log") == 0) {
-      opt.capture_log = need_value("--capture-log");
-      AllocLogKind parsed;
-      if (!alloc_log_from_name(opt.capture_log, &parsed)) {
-        std::fprintf(stderr,
-                     "--capture-log wants tree|array|filter|adaptive, got %s\n",
-                     opt.capture_log.c_str());
-        std::exit(2);
-      }
     } else if (std::strcmp(argv[i], "--apps") == 0) {
       opt.apps = parse_apps(need_value("--apps"));
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -86,15 +116,10 @@ Options parse_options(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale S] [--reps N] [--threads T] [--seed X] "
-                   "[--batch B] [--capture-log tree|array|filter|adaptive] "
-                   "[--apps A,B] [--json FILE] [--smoke]\n",
+                   "[--batch B] [--apps A,B] [--json FILE] [--smoke]\n",
                    argv[0]);
       std::exit(2);
     }
-  }
-  if (opt.reps < 1 || opt.threads < 1) {
-    std::fprintf(stderr, "--reps and --threads must be at least 1\n");
-    std::exit(2);
   }
   return opt;
 }
@@ -262,10 +287,9 @@ const Row& find_row(const std::vector<Row>& rows, const std::string& app,
   std::abort();
 }
 
-/// Measures every app under "baseline" and each of @p configs at @p threads,
-/// prints the app x config improvement-over-baseline table and returns the
-/// rows.
-std::vector<Row> speedup_table(
+/// Measures every app under "baseline" and each of @p configs at @p threads
+/// and prints the app x config improvement-over-baseline table.
+void speedup_table(
     const char* experiment, const Options& opt, int threads,
     const std::vector<std::pair<std::string, TxConfig>>& configs) {
   std::vector<Cell> cells;
@@ -288,7 +312,6 @@ std::vector<Row> speedup_table(
     }
     std::printf("  (baseline %.4fs)\n", base.median());
   }
-  return rows;
 }
 
 }  // namespace
@@ -468,14 +491,8 @@ void txbatch_stream(const Options& opt) {
   // MISSES, and a log whose miss cost grows with the merged footprint (the
   // tree) would charge the batch for its own size, burying the fixed-cost
   // amortization this experiment exists to show. (The bounded array log is
-  // out too — it overflows outright at batch 64.) --capture-log overrides,
-  // e.g. `adaptive` lets the online policy track the merge factor itself
-  // (Batcher::flush feeds it the batch size as a pre-escalation hint).
-  AllocLogKind log_kind = AllocLogKind::kFilter;
-  if (!opt.capture_log.empty()) {
-    alloc_log_from_name(opt.capture_log, &log_kind);  // validated at parse
-  }
-  const TxConfig cfg = TxConfig::runtime_rw(log_kind);
+  // out too — it overflows outright at batch 64.)
+  const TxConfig cfg = TxConfig::runtime_rw(AllocLogKind::kFilter);
   std::vector<std::size_t> batches;
   if (opt.batch > 0) {
     batches.push_back(opt.batch);
@@ -492,8 +509,8 @@ void txbatch_stream(const Options& opt) {
   const std::vector<Row> rows = measure("txbatch", cells, opt);
 
   std::printf("# txbatch: request-stream throughput vs merge factor "
-              "(%d thread%s, runtime stack+heap RW, %s log)\n",
-              opt.threads, opt.threads == 1 ? "" : "s", to_string(log_kind));
+              "(%d thread%s, runtime stack+heap RW, filter log)\n",
+              opt.threads, opt.threads == 1 ? "" : "s");
   std::printf("# ops = requests run by the merged transactions; capture-hit%% "
               "= accesses hitting captured (tx-local stack/heap) memory; "
               "elided%% = any elision mechanism; ovf%% = allocations dropped "
@@ -513,50 +530,6 @@ void txbatch_stream(const Options& opt) {
                 static_cast<unsigned long long>(s.commits),
                 static_cast<unsigned long long>(s.batch_flushes),
                 static_cast<unsigned long long>(s.batch_op_compensations));
-  }
-}
-
-void adaptive_sweep(const Options& opt) {
-  // The online policy against each hand-picked structure, in the fig11b
-  // family (write barriers only, tx-local heap only) where the structure
-  // choice dominates the outcome. The contract being measured: adaptive
-  // should track the best fixed log everywhere and beat the worst one on
-  // the apps fig11b shows diverging (genome, bayes) — without per-workload
-  // tuning.
-  std::vector<std::pair<std::string, TxConfig>> configs = {
-      {"tree", TxConfig::runtime_heap_w(AllocLogKind::kTree)},
-      {"array", TxConfig::runtime_heap_w(AllocLogKind::kArray)},
-      {"filter", TxConfig::runtime_heap_w(AllocLogKind::kFilter)},
-      {"adaptive", TxConfig::runtime_heap_w(AllocLogKind::kAdaptive)},
-  };
-  if (!opt.capture_log.empty()) {
-    std::erase_if(configs, [&](const auto& c) {
-      return c.first != opt.capture_log;
-    });
-  }
-
-  std::printf("# Adaptive capture-log selection: improvement over baseline "
-              "at %d thread%s (runtime heap-W family)\n",
-              opt.threads, opt.threads == 1 ? "" : "s");
-  const std::vector<Row> rows =
-      speedup_table("adaptive", opt, opt.threads, configs);
-  if (opt.capture_log.empty() || opt.capture_log == "adaptive") {
-    std::printf("# adaptive profile: %% of transactions run on each structure "
-                "(a=array f=filter t=tree), plan switches,\n"
-                "# array-overflow%% of allocations, capture-hit%% of accesses\n");
-    std::printf("%-15s %15s %9s %6s %6s\n", "app", "a/f/t%", "sw", "ovf%",
-                "cap%");
-    for (const auto& app : selected_apps(opt)) {
-      const TxStats& s = find_row(rows, app, "adaptive", opt.threads).counters;
-      const std::uint64_t txs = s.adaptive_txs_array + s.adaptive_txs_filter +
-                                s.adaptive_txs_tree;
-      std::printf("%-15s     %3.0f/%3.0f/%3.0f %9llu %6.1f %6.1f\n",
-                  app.c_str(), pct(s.adaptive_txs_array, txs),
-                  pct(s.adaptive_txs_filter, txs),
-                  pct(s.adaptive_txs_tree, txs),
-                  static_cast<unsigned long long>(s.adaptive_switches),
-                  s.capture_overflow_percent(), s.capture_hit_percent());
-    }
   }
 }
 

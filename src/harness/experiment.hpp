@@ -3,7 +3,7 @@
 // binary per experiment calls exactly one of these printers.
 //
 // The recorded experiments (fig10, fig11a, fig11b, scaling, txbatch,
-// adaptive, durable) are each a list of cells, all measured by one function
+// durable) are each a list of cells, all measured by one function
 // rep by rep, in an order shuffled from --seed. Each printer computes its
 // table from the measured rows and, with --json, saves them as a
 // BENCH_*.json record through one writer. Every record has the one schema
@@ -36,17 +36,15 @@ struct Options {
   std::uint64_t seed = 20090811;
   std::size_t batch = 0;  // --batch N: txbatch merge factor (0 = sweep 1/4/16/64)
   std::string json;     // when set: also write machine-readable results here
-  /// --capture-log {tree|array|filter|adaptive}: pins the allocation-log
-  /// structure for the experiments that take one (txbatch_stream's merge
-  /// sweep, adaptive_sweep's config filter). Empty = experiment default.
-  std::string capture_log;
   /// --apps a,b: the STAMP apps the per-app experiments run, each checked
   /// against stamp::app_names() at parse time. Empty = every app.
   std::vector<std::string> apps;
 };
 
-/// Parses --scale/--reps/--threads/--seed/--batch/--capture-log/--apps/
-/// --json; unknown flags and unknown app names exit 2 with usage.
+/// Parses --scale/--reps/--threads/--seed/--batch/--apps/--json; unknown
+/// flags, unknown app names and malformed or out-of-range numbers (a scale
+/// that is not finite and above 0, reps or threads below 1) exit 2 with a
+/// message naming the flag.
 Options parse_options(int argc, char** argv);
 
 struct RunResult {
@@ -91,14 +89,6 @@ void table2_variance(const Options& opt);       // Table 2
 /// {1, 4, 16, 64} (or just opt.batch when --batch is given) and prints
 /// ops/s plus the capture-hit% and barriers-elided% that explain the curve.
 void txbatch_stream(const Options& opt);
-
-/// Adaptive capture-log selection vs the three fixed structures, in the
-/// fig11b family (runtime heap-W, where the structure choice dominates).
-/// Prints the improvement-over-baseline table plus a per-app adaptive
-/// profile (transaction distribution across structures, switches,
-/// array-overflow% and capture-hit%). --capture-log restricts the sweep to
-/// one column.
-void adaptive_sweep(const Options& opt);
 
 /// Durable mode across STAMP: seconds for the non-durable reference
 /// (runtime stack+heap RW, filter log) vs the same config with durability

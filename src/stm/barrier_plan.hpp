@@ -18,9 +18,8 @@
 //   heap_<dir>                    kHeap{log}                  {log}
 //   no check on <dir>             kFull                       as above
 //
-// where {log} is alloc_log with the kAdaptive tag resolved to a concrete
-// structure. Invalid configs are rejected by set_global_config and never
-// reach compile().
+// where {log} is alloc_log. Invalid configs are rejected by
+// set_global_config and never reach compile().
 #pragma once
 
 #include <cstdint>
@@ -62,14 +61,6 @@ struct BarrierPlan {
 
   /// Resolves a valid TxConfig into its plan. Constexpr so config→path
   /// mappings can be checked at compile time (see tests/test_stm_basic.cpp).
-  ///
-  /// The kAdaptive tag resolves HERE, to whatever concrete structure the
-  /// caller substituted; compiling a raw adaptive config yields the
-  /// policy's start state (the array), so the first transaction after a
-  /// config switch is well-defined and deterministic. begin_top re-invokes
-  /// compile with the policy's current choice whenever it moves — that is
-  /// the whole re-specialization hook: plans change between transactions,
-  /// barriers never dispatch on anything but the compiled plan.
   static constexpr BarrierPlan compile(const TxConfig& cfg) {
     BarrierPlan p;
     p.durable = cfg.durable;
@@ -82,17 +73,14 @@ struct BarrierPlan {
       p.read = p.write = BarrierPath::kStatic;
       return p;
     }
-    const AllocLogKind k = cfg.alloc_log == AllocLogKind::kAdaptive
-                               ? AllocLogKind::kArray  // policy start state
-                               : cfg.alloc_log;
     const BarrierPath checked = with_log(
         cfg.stack_private ? BarrierPath::kStackHeapPrivTree
                           : BarrierPath::kHeapTree,
-        k);
+        cfg.alloc_log);
     p.read = cfg.heap_read ? checked : BarrierPath::kFull;
     p.write = cfg.heap_write ? checked : BarrierPath::kFull;
     if (cfg.heap_read || cfg.heap_write) {
-      p.log = static_cast<ActiveLog>(static_cast<int>(k) + 1);
+      p.log = static_cast<ActiveLog>(static_cast<int>(cfg.alloc_log) + 1);
     }
     return p;
   }

@@ -91,14 +91,6 @@ struct TxConfig {
     return c;
   }
 
-  /// Beyond the paper: full runtime checks with the allocation-log
-  /// structure chosen ONLINE per thread (capture/adaptive.hpp). The
-  /// kAdaptive tag resolves to a concrete tree/array/filter plan at every
-  /// begin_top; barriers stay as specialized as with a fixed preset.
-  static constexpr TxConfig adaptive() {
-    return runtime_rw(AllocLogKind::kAdaptive);
-  }
-
   /// Compiler capture analysis: statically elided barriers, no runtime cost.
   static constexpr TxConfig compiler() {
     TxConfig c;

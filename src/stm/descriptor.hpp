@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "capture/adaptive.hpp"
 #include "capture/capture_frame.hpp"
 #include "capture/private_registry.hpp"
 #include "stm/alloc_ctx.hpp"
@@ -54,13 +53,6 @@ class Tx {
   std::uintptr_t stack_low = 0;  // low bound of this thread's stack
   unsigned depth = 0;
   unsigned consecutive_aborts = 0;
-
-  /// Online capture-log selector, consulted by begin_top when cfg.alloc_log
-  /// is the kAdaptive tag: its concrete choice is compiled into `plan`, so
-  /// the barriers stay specialized while the structure tracks the workload.
-  /// Lives here (not in the frame) because only begin_top touches it —
-  /// never an access fast path.
-  AdaptiveLogPolicy adapt;
 
   /// This thread's unconsumed slice of reserved commit timestamps
   /// (gclock.hpp). Survives across transactions — that is the whole point
@@ -210,10 +202,6 @@ class Tx {
   std::unique_ptr<TreeAllocLog> tree_log_;
   std::unique_ptr<FilterAllocLog> filter_log_;
   ExponentialBackoff backoff_;
-  /// The concrete structure the current plan was compiled with while the
-  /// adaptive tag is configured; begin_top recompiles only when the policy
-  /// moves off it.
-  AllocLogKind adapt_kind_ = AllocLogKind::kArray;
   /// ArrayAllocLog::dropped() high-water already folded into
   /// stats.array_overflows (the log's counter is cumulative; stats may be
   /// reset independently, so reset_logs folds deltas).

@@ -35,11 +35,6 @@ namespace cstm {
      dropped counter, sampled per transaction at reset). Each one is a       \
      conservative miss: the block's accesses pay full barriers. */            \
   X(array_overflows)                                                          \
-  /* Adaptive capture-log selection (capture/adaptive.hpp): structure       \
-     switches applied at begin_top, and how many top-level transactions ran  \
-     on each concrete structure while the kAdaptive tag was configured. */    \
-  X(adaptive_switches) X(adaptive_txs_tree) X(adaptive_txs_array)             \
-  X(adaptive_txs_filter)                                                      \
   /* Epoch-batched clock traffic (gclock.hpp): shared-counter range         \
      reservations, stale ranges discarded without stamping, and lazy         \
      read-set revalidations (Tx::extend) against the published epoch. */      \
@@ -120,8 +115,8 @@ struct TxStats {
   }
 
   /// Percentage of in-transaction allocations the inline array log dropped
-  /// on overflow. Non-zero means the array is undersized for this workload
-  /// — exactly the signal that makes the adaptive policy escalate.
+  /// on overflow. Non-zero means the array is undersized for this workload,
+  /// so the tree or the filter would elide more of it.
   double capture_overflow_percent() const {
     return tx_allocs == 0 ? 0.0
                           : 100.0 * static_cast<double>(array_overflows) /

@@ -230,7 +230,7 @@ void Tx::reset_logs() {
   // Fold the array log's overflow counter (cumulative across clears, by
   // design) into the stats as a delta. Every transaction exit path — commit,
   // abort, cancel — and begin_top come through reset_logs, so the counter is
-  // current whenever anyone snapshots stats or the adaptive policy samples.
+  // current whenever anyone snapshots stats.
   const std::uint64_t dropped = frame.array.dropped();
   if (dropped > array_dropped_seen_) {
     stats.array_overflows += dropped - array_dropped_seen_;
@@ -251,42 +251,6 @@ void Tx::begin_top(const void* sp) {
     cfg = global_config();
     tls_cfg_epoch = epoch;
     plan = BarrierPlan::compile(cfg);
-    // A fresh config restarts the adaptive decision sequence from the
-    // policy's start state (matching what compile() just normalized the
-    // kAdaptive tag to), so identical runs of a workload make identical
-    // decisions — the differential suite's bit-identical guarantee rests
-    // on this determinism.
-    adapt.reset();
-    adapt_kind_ = AllocLogKind::kArray;
-  }
-  if (cfg.alloc_log == AllocLogKind::kAdaptive &&
-      (cfg.heap_read || cfg.heap_write)) {
-    // Online re-specialization: feed the policy this thread's cumulative
-    // profile, and if its structure choice moved, recompile the plan with
-    // the concrete kind substituted. Confined to begin_top: the barriers
-    // keep dispatching on the compiled plan, zero extra branches per
-    // access. Switching is safe mid-run because every structure is
-    // conservative (false negatives only) and the outgoing log was cleared
-    // when its last transaction ended.
-    AdaptiveSample s;
-    s.allocs = stats.tx_allocs;
-    s.probes = stats.reads + stats.writes;
-    s.array_overflows = stats.array_overflows;
-    s.filter_words = filter_log_ ? filter_log_->words_marked() : 0;
-    const AllocLogKind k = adapt.on_begin(s);
-    switch (k) {
-      case AllocLogKind::kTree: ++stats.adaptive_txs_tree; break;
-      case AllocLogKind::kArray: ++stats.adaptive_txs_array; break;
-      case AllocLogKind::kFilter: ++stats.adaptive_txs_filter; break;
-      case AllocLogKind::kAdaptive: break;  // policy never returns the tag
-    }
-    if (k != adapt_kind_) {
-      adapt_kind_ = k;
-      ++stats.adaptive_switches;
-      TxConfig concrete = cfg;
-      concrete.alloc_log = k;
-      plan = BarrierPlan::compile(concrete);
-    }
   }
   flush_quarantine(/*force=*/false);
   start_ts = global_clock().load();
@@ -433,7 +397,7 @@ void Tx::abort_nested() {
   ws.truncate(m.ws);
   rs.truncate(m.rs);
   // Undo frees performed in the aborted level on blocks allocated by an
-  // ancestor: restore their live status (and their capture-log entries).
+  // ancestor: restore their live status (and their allocation-log entries).
   for (std::size_t i = freed_events.size(); i-- > m.freed_events;) {
     const std::size_t idx = freed_events[i];
     if (idx < m.allocs) {

@@ -58,12 +58,6 @@ std::size_t Batcher::flush() {
   // exactly its writes (captured memory included, via the nested undo
   // path), so execution simply proceeds to the next sibling.
   std::vector<std::uint8_t> ran(batch.size(), 0);
-  // Tell the adaptive capture-log policy the merge factor before the outer
-  // transaction begins: a merged transaction's allocation footprint is the
-  // sum of its sub-ops', so a large batch overflows the inline array log
-  // before any profiling epoch could notice. No-op unless the kAdaptive tag
-  // is configured.
-  current_tx().adapt.note_batch(batch.size());
   try {
     atomic([&](Tx& tx) {
       ran.assign(batch.size(), 0);

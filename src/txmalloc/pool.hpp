@@ -30,7 +30,7 @@ class Pool {
   static Pool& local();
 
   /// Allocates at least @p n bytes; *usable receives the rounded block size
-  /// used for capture-log extents.
+  /// used for allocation-log extents.
   void* allocate(std::size_t n, std::size_t* usable = nullptr);
 
   /// Frees a block from any thread.

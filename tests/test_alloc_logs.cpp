@@ -19,6 +19,7 @@
 #include "capture/filter_log.hpp"
 #include "capture/private_registry.hpp"
 #include "capture/tree_log.hpp"
+#include "stm/stm.hpp"
 #include "support/random.hpp"
 
 namespace cstm {
@@ -66,7 +67,6 @@ std::unique_ptr<LogUnderTest> make_log(AllocLogKind kind) {
       return std::make_unique<LogAdapter<ArrayAllocLog>>();
     case AllocLogKind::kFilter:
       return std::make_unique<LogAdapter<FilterAllocLog>>();
-    case AllocLogKind::kAdaptive: break;  // a selector tag, not a structure
   }
   return nullptr;
 }
@@ -464,8 +464,8 @@ TEST(FilterLog, LargeBlockInsertionCapIsConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Filter occupancy across the epoch-reset path (regression: the adaptive
-// policy and stats read these, and both used to lie after clear()).
+// Filter occupancy across the epoch-reset path (regression: occupancy and
+// entries() both used to lie after clear()).
 // ---------------------------------------------------------------------------
 
 TEST(FilterLog, OccupancyResetsWithEpochClear) {
@@ -511,20 +511,9 @@ TEST(FilterLog, OccupancyBoundedByTableUnderCollisions) {
   EXPECT_GT(log.occupancy(), 0u);
 }
 
-TEST(FilterLog, WordsMarkedAccumulatesAcrossEpochs) {
-  FilterAllocLog log;
-  log.insert(ptr(0x10000), 64);  // 8 words
-  EXPECT_EQ(log.words_marked(), 8u);
-  log.clear();
-  log.insert(ptr(0x10000), 64);
-  // Cumulative by design: the adaptive policy reads per-epoch deltas of
-  // marking pressure, which an epoch reset must not erase.
-  EXPECT_EQ(log.words_marked(), 16u);
-}
-
 // ---------------------------------------------------------------------------
-// Array-log overflow and peak accounting (the adaptive policy's escalation
-// signal).
+// Array-log overflow and peak accounting (TxStats::array_overflows reads
+// per-transaction deltas of dropped()).
 // ---------------------------------------------------------------------------
 
 TEST(ArrayLog, DroppedSurvivesClearAndPeakTracksHighWater) {
@@ -540,6 +529,28 @@ TEST(ArrayLog, DroppedSurvivesClearAndPeakTracksHighWater) {
   EXPECT_EQ(log.peak(), ArrayAllocLog::kCapacity);
   log.insert(ptr(0x90000), 8);
   EXPECT_EQ(log.dropped(), 1u);
+}
+
+TEST(ArrayLog, OverflowCounterSurfacesInStats) {
+  set_global_config(TxConfig::runtime_rw(AllocLogKind::kArray));
+  atomic([](Tx&) {});  // begin_top picks the config up
+  stats_reset();
+  for (int t = 0; t < 10; ++t) {
+    atomic([](Tx& tx) {
+      void* blocks[12];
+      for (std::size_t i = 0; i < 12; ++i) {
+        blocks[i] = tx_malloc(tx, 64);
+        tm_write(tx, static_cast<std::uint64_t*>(blocks[i]), std::uint64_t{i});
+      }
+      for (void* b : blocks) tx_free(tx, b);
+    });
+  }
+  const TxStats s = stats_snapshot();
+  set_global_config(TxConfig::baseline());
+  // 12 allocs/tx against capacity 4: 8 drops per transaction.
+  EXPECT_EQ(s.array_overflows, 10u * 8u);
+  EXPECT_GT(s.tx_allocs, 0u);
+  EXPECT_NEAR(s.capture_overflow_percent(), 100.0 * 80.0 / 120.0, 0.01);
 }
 
 // ---------------------------------------------------------------------------

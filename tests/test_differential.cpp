@@ -4,8 +4,7 @@
 // OUTCOMES. This suite runs one randomized container+malloc workload to a
 // fixed seed under EVERY barrier preset (full / static / stack+heap+priv
 // and heap-only across all three alloc-log structures / heap reads only /
-// counting / the online-adaptive structure selector), plus a durable-mode
-// cross (redo logging + flush accounting riding commit), and asserts
+// counting), plus a durable-mode cross (redo logging + flush accounting riding commit), and asserts
 // bit-identical final state and identical commit counts across all of them.
 //
 // The workload is single-threaded on purpose: with no conflicts the
@@ -37,8 +36,8 @@ constexpr int kSteps = 12000;
 constexpr std::uint64_t kKeyRange = 256;
 
 /// Every barrier preset named by the paper plus a heap-read-only config no
-/// preset names (reads checked, writes full): 13 barrier presets, 3
-/// adaptive and 3 durable.
+/// preset names (reads checked, writes full): 13 barrier presets and 3
+/// durable.
 std::vector<std::pair<std::string, TxConfig>> all_presets() {
   return {
       {"full", TxConfig::baseline()},
@@ -54,13 +53,6 @@ std::vector<std::pair<std::string, TxConfig>> all_presets() {
       {"heap_w_filter", TxConfig::runtime_heap_w(AllocLogKind::kFilter)},
       {"heap_r_tree", TxConfig{.heap_read = true}},
       {"counting", TxConfig::counting()},
-      // Online-adaptive structure selection: the policy may re-specialize
-      // the plan mid-run (array → filter → tree → back), so these presets
-      // assert that SWITCHING structures between transactions — not just
-      // picking one — never changes outcomes.
-      {"rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
-      {"w_adaptive", TxConfig::runtime_w(AllocLogKind::kAdaptive)},
-      {"heap_w_adaptive", TxConfig::runtime_heap_w(AllocLogKind::kAdaptive)},
       // Durable mode: the redo-log serialization + flush leg rides commit
       // and may change PERSISTENCE only, never outcomes. No heap is active
       // in this suite, so these run against the fallback volatile log —
@@ -289,10 +281,10 @@ TEST(Differential, BatchedExecutionMatchesUnbatchedExactly) {
       {"full", TxConfig::baseline()},
       {"rw_tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
       {"static", TxConfig::compiler()},
-      // Merged batches are the workload adaptive selection exists for (the
-      // batch-size hint pre-escalates off the array); the digest and exact
-      // commit counts must not notice any of it.
-      {"rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
+      // The config txbatch and durable-stream run: merged batches grow the
+      // filter's marked footprint; the digest and exact commit counts must
+      // not notice any of it.
+      {"rw_filter", TxConfig::runtime_rw(AllocLogKind::kFilter)},
   };
   for (const auto& [name, cfg] : cfgs) {
     const RunOutcome ref = run_workload(cfg);

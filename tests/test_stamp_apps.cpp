@@ -31,7 +31,7 @@ std::vector<Case> cases() {
       {"rt_rw_tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
       {"rt_rw_array", TxConfig::runtime_rw(AllocLogKind::kArray)},
       {"rt_rw_filter", TxConfig::runtime_rw(AllocLogKind::kFilter)},
-      {"rt_rw_adaptive", TxConfig::runtime_rw(AllocLogKind::kAdaptive)},
+      {"rt_heap_w_tree", TxConfig::runtime_heap_w(AllocLogKind::kTree)},
       {"compiler", TxConfig::compiler()},
       {"counting", TxConfig::counting()},
   };

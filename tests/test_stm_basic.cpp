@@ -43,9 +43,7 @@ constexpr bool compiles_to(const Expect& e) {
          p.log == e.log;
 }
 
-// The paper's presets land on the path their name promises. The kAdaptive
-// tag never reaches a barrier: an unresolved adaptive config compiles to
-// the policy's start state, the fully specialized ARRAY path.
+// The paper's presets land on the path their name promises.
 constexpr Expect kPresets[] = {
     {TxConfig::baseline(), BP::kFull, BP::kFull, ActiveLog::kNone},
     {TxConfig::runtime_rw(AL::kArray), BP::kStackHeapPrivArray,
@@ -56,29 +54,24 @@ constexpr Expect kPresets[] = {
      ActiveLog::kTree},
     {TxConfig::compiler(), BP::kStatic, BP::kStatic, ActiveLog::kNone},
     {TxConfig::counting(), BP::kCounting, BP::kCounting, ActiveLog::kTree},
-    {TxConfig::runtime_heap_w(AL::kAdaptive), BP::kFull, BP::kHeapArray,
-     ActiveLog::kArray},
-    {TxConfig::adaptive(), BP::kStackHeapPrivArray, BP::kStackHeapPrivArray,
-     ActiveLog::kArray},
 };
 static_assert(std::ranges::all_of(kPresets, compiles_to));
 
-// Indexed by AllocLogKind; the adaptive tag resolves to the array.
-constexpr AL kLogs[] = {AL::kTree, AL::kArray, AL::kFilter, AL::kAdaptive};
-constexpr BP kStackHeapPriv[] = {
-    BP::kStackHeapPrivTree, BP::kStackHeapPrivArray, BP::kStackHeapPrivFilter,
-    BP::kStackHeapPrivArray};
-constexpr BP kHeapOnly[] = {BP::kHeapTree, BP::kHeapArray, BP::kHeapFilter,
-                            BP::kHeapArray};
+// Indexed by AllocLogKind.
+constexpr AL kLogs[] = {AL::kTree, AL::kArray, AL::kFilter};
+constexpr BP kStackHeapPriv[] = {BP::kStackHeapPrivTree,
+                                 BP::kStackHeapPrivArray,
+                                 BP::kStackHeapPrivFilter};
+constexpr BP kHeapOnly[] = {BP::kHeapTree, BP::kHeapArray, BP::kHeapFilter};
 constexpr ActiveLog kActive[] = {ActiveLog::kTree, ActiveLog::kArray,
-                                 ActiveLog::kFilter, ActiveLog::kArray};
+                                 ActiveLog::kFilter};
 
 /// Every valid {heap_read, heap_write, stack_private} × log config, plus
 /// static and counting under every log; returns how many were checked, or
 /// -1 at the first config that compiles to the wrong plan.
 constexpr int check_all_valid_configs() {
   int checked = 0;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 3; ++i) {
     for (int bits = 0; bits < 8; ++bits) {
       TxConfig c;
       c.heap_read = (bits & 1) != 0;
@@ -107,7 +100,7 @@ constexpr int check_all_valid_configs() {
   }
   return checked;
 }
-static_assert(check_all_valid_configs() == 4 * (7 + 2));
+static_assert(check_all_valid_configs() == 3 * (7 + 2));
 }  // namespace plan_checks
 
 TEST_F(StmBasic, MixedConfigsAreRejected) {
@@ -426,17 +419,17 @@ TEST(TxStatsNames, OneUniqueNamePerCounter) {
 TEST(TxStatsNames, ForEachCounterReadsTheNamedField) {
   TxStats s;
   s.commits = 7;
-  s.adaptive_switches = 3;
+  s.array_overflows = 3;
   std::vector<std::string> names;
   std::uint64_t commits_seen = 0;
-  std::uint64_t switches_seen = 0;
+  std::uint64_t overflows_seen = 0;
   s.for_each_counter([&](const char* name, std::uint64_t value) {
     names.emplace_back(name);
     if (names.back() == "commits") commits_seen = value;
-    if (names.back() == "adaptive_switches") switches_seen = value;
+    if (names.back() == "array_overflows") overflows_seen = value;
   });
   EXPECT_EQ(commits_seen, 7u);
-  EXPECT_EQ(switches_seen, 3u);
+  EXPECT_EQ(overflows_seen, 3u);
   EXPECT_EQ(names, std::vector<std::string>(std::begin(TxStats::kCounterNames),
                                             std::end(TxStats::kCounterNames)));
 }
