@@ -11,7 +11,7 @@
 #    run ctest with --output-on-failure and the per-test TIMEOUTs/LABELS
 #    registered in CMakeLists.txt. The high-thread `stress` tier, the
 #    txbatch `batch` tier and the `durable` tier run in all three cells,
-#    so the backoff retry loop, the batched clock, the merge layer's
+#    so the backoff retry loop, the global clock, the merge layer's
 #    compensation path and the durable commit leg are raced under both
 #    sanitizers on every push. The tsan preset excludes only bench-smoke
 #    and the fork-based `crash` recovery harness (TSan and fork() don't

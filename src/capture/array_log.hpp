@@ -30,7 +30,6 @@ class ArrayAllocLog {
         r.begin = begin;
         r.end = begin + size;
         ++count_;
-        if (count_ > peak_) peak_ = count_;
         return;
       }
     }
@@ -69,10 +68,6 @@ class ArrayAllocLog {
   /// overflows as deltas of this counter).
   std::uint64_t dropped() const { return dropped_; }
 
-  /// High-water mark of entries() since construction (diagnostic: how close
-  /// the workload comes to the one-cache-line capacity without overflowing).
-  std::size_t peak() const { return peak_; }
-
  private:
   struct Range {
     std::uintptr_t begin = 0;
@@ -81,7 +76,6 @@ class ArrayAllocLog {
 
   alignas(kCacheLineSize) Range ranges_[kCapacity] = {};
   std::size_t count_ = 0;
-  std::size_t peak_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

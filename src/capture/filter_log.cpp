@@ -1,5 +1,7 @@
 #include "capture/filter_log.hpp"
 
+#include <algorithm>
+
 namespace cstm {
 
 FilterAllocLog::FilterAllocLog(std::size_t table_bits)
@@ -10,17 +12,13 @@ void FilterAllocLog::insert(const void* addr, std::size_t size) {
   if (size == 0) return;
   const auto begin = reinterpret_cast<std::uintptr_t>(addr);
   const std::uintptr_t first = begin & kWordMask;
-  const std::uintptr_t last = (begin + size - 1) & kWordMask;
-  std::size_t marked = 0;
+  // Words beyond the first kMaxWordsPerBlock go untracked (conservative).
+  const std::uintptr_t last = std::min((begin + size - 1) & kWordMask,
+                                       first + (kMaxWordsPerBlock - 1) * 8);
   for (std::uintptr_t w = first; w <= last; w += 8) {
-    if (marked++ >= kMaxWordsPerBlock) {
-      ++words_skipped_;
-      continue;
-    }
-    Entry& e = table_[slot_of(w)];
     // A slot already live this epoch is a collision overwrite (or a re-mark
-    // of the same word): occupancy does not grow, the old mark is evicted.
-    if (e.epoch != epoch_) ++words_live_;
+    // of the same word): the old mark is evicted.
+    Entry& e = table_[slot_of(w)];
     e.word = w;
     e.epoch = epoch_;
   }
@@ -37,20 +35,18 @@ void FilterAllocLog::erase(const void* addr, std::size_t size) {
     if (e.word == w && e.epoch == epoch_) {
       e.epoch = 0;
       any_live = true;
-      if (words_live_ > 0) --words_live_;
     }
   }
   // Only blocks actually live this epoch count down: erasing a block whose
   // marks predate the last clear() (or were never inserted) used to
   // decrement blocks_ anyway, so entries() under-reported until the next
-  // clear and the occupancy signal was garbage.
+  // clear.
   if (any_live && blocks_ > 0) --blocks_;
 }
 
 void FilterAllocLog::clear() {
   ++epoch_;
   blocks_ = 0;
-  words_live_ = 0;
 }
 
 }  // namespace cstm

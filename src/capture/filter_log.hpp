@@ -70,14 +70,6 @@ class FilterAllocLog {
   unsigned shift() const { return shift_; }
   std::uint64_t epoch() const { return epoch_; }
 
-  std::size_t table_size() const { return table_.size(); }
-  std::uint64_t words_skipped() const { return words_skipped_; }
-
-  /// Live occupancy: table slots holding a current-epoch mark RIGHT NOW
-  /// (diagnostic). clear() is an epoch bump that invalidates every mark at
-  /// once, so this resets to zero with it.
-  std::size_t occupancy() const { return words_live_; }
-
  private:
   static constexpr std::uintptr_t kWordMask = ~static_cast<std::uintptr_t>(7);
 
@@ -93,8 +85,6 @@ class FilterAllocLog {
   unsigned shift_;
   std::uint64_t epoch_ = 1;
   std::size_t blocks_ = 0;
-  std::size_t words_live_ = 0;
-  std::uint64_t words_skipped_ = 0;
 };
 
 static_assert(CaptureLog<FilterAllocLog>);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -16,11 +17,11 @@
 #include "stm/alloc_ctx.hpp"
 #include "stm/barrier_plan.hpp"
 #include "stm/config.hpp"
-#include "stm/gclock.hpp"
 #include "stm/logs.hpp"
 #include "stm/orec.hpp"
 #include "stm/stats.hpp"
 #include "support/backoff.hpp"
+#include "support/cacheline.hpp"
 
 namespace cstm {
 
@@ -42,7 +43,10 @@ class Tx {
   Tx& operator=(const Tx&) = delete;
 
   // -- Hot state -------------------------------------------------------------
-  TxConfig cfg;
+  // What the barriers touch on every access, first and inside the leading
+  // kHotBytes (pinned by the static_asserts after the class), so an edit to
+  // a cold member below cannot move them.
+  static constexpr std::size_t kHotBytes = 6 * kCacheLineSize;
   /// cfg compiled into specialized barrier paths at begin_top; the barriers
   /// dispatch on this, never on cfg.
   BarrierPlan plan;
@@ -52,16 +56,13 @@ class Tx {
   std::uint64_t start_ts = 0;
   std::uintptr_t stack_low = 0;  // low bound of this thread's stack
   unsigned depth = 0;
-  unsigned consecutive_aborts = 0;
-
-  /// This thread's unconsumed slice of reserved commit timestamps
-  /// (gclock.hpp). Survives across transactions — that is the whole point
-  /// of batching.
-  ClockReservation tclock;
-
   TxLog<ReadEntry> rs;
   TxLog<OwnedOrec> ws;
   UndoLog undo;
+
+  // -- Cold state ------------------------------------------------------------
+  TxConfig cfg;
+  unsigned consecutive_aborts = 0;
   TxAllocCtx alloc;
   std::vector<std::size_t> freed_events;  // indices into alloc.allocs
   /// Durable-mode redo write log (non-captured stores with post-images
@@ -207,6 +208,17 @@ class Tx {
   /// reset independently, so reset_logs folds deltas).
   std::uint64_t array_dropped_seen_ = 0;
 };
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"  // Tx is not standard-layout
+#define CSTM_TX_HOT(m)                                             \
+  static_assert(offsetof(Tx, m) + sizeof(Tx::m) <= Tx::kHotBytes, \
+                "Tx::" #m " left the descriptor's hot cache lines");
+CSTM_TX_HOT(plan) CSTM_TX_HOT(frame) CSTM_TX_HOT(start_ts)
+CSTM_TX_HOT(stack_low) CSTM_TX_HOT(depth) CSTM_TX_HOT(rs) CSTM_TX_HOT(ws)
+CSTM_TX_HOT(undo)
+#undef CSTM_TX_HOT
+#pragma GCC diagnostic pop
 
 /// The calling thread's descriptor (created on first use).
 Tx& current_tx();

@@ -35,10 +35,10 @@ namespace cstm {
      dropped counter, sampled per transaction at reset). Each one is a       \
      conservative miss: the block's accesses pay full barriers. */            \
   X(array_overflows)                                                          \
-  /* Epoch-batched clock traffic (gclock.hpp): shared-counter range         \
-     reservations, stale ranges discarded without stamping, and lazy         \
-     read-set revalidations (Tx::extend) against the published epoch. */      \
-  X(clock_reservations) X(clock_stale_discards) X(lazy_revalidations)         \
+  /* Global clock traffic (gclock.hpp): draws from the shared counter      \
+     (one per writing commit and per rollback that held orecs), and lazy     \
+     read-set revalidations (Tx::extend) against the clock. */                \
+  X(clock_reservations) X(lazy_revalidations)                                 \
   /* Self-aborts on a lock conflict (Tx::on_conflict), under the one      \
      contention policy, exponential backoff. Validation and extend failures  \
      and user aborts are not counted. */                                      \

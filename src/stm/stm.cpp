@@ -68,16 +68,14 @@ std::uint64_t min_active_start() {
   return min_active;
 }
 
-/// Stamps and publishes a fresh timestamp from this descriptor's reserved
-/// range, folding the clock traffic into its statistics. Every version that
-/// ever reaches an unlocked orec word — commit, abort, cancel, nested abort
-/// — comes through here, so released versions are always <= the published
-/// epoch (a reader's extend() can always catch up; see gclock.hpp).
-GlobalClock::Stamp stamp_and_count(Tx& tx) {
-  const GlobalClock::Stamp s = global_clock().stamp_and_publish(tx.tclock);
-  tx.stats.clock_reservations += s.reservations;
-  tx.stats.clock_stale_discards += s.discards;
-  return s;
+/// Draws a fresh timestamp from the global clock and counts the draw. Every
+/// version that ever reaches an unlocked orec word — commit, abort, cancel,
+/// nested abort — comes through here, so released versions are always
+/// <= global_clock().load() (a reader's extend() can always catch up; see
+/// gclock.hpp).
+std::uint64_t stamp_and_count(Tx& tx) {
+  ++tx.stats.clock_reservations;
+  return global_clock().stamp();
 }
 
 }  // namespace
@@ -280,13 +278,12 @@ void Tx::commit_nested() {
 
 void Tx::commit_top() {
   if (!ws.empty()) {
-    const GlobalClock::Stamp s = stamp_and_count(*this);
-    // If our publication replaced exactly our begin snapshot, nothing was
-    // published in between and the read set is trivially still valid — the
-    // batched-clock form of the classic `wv == start_ts + 1` skip.
-    // Otherwise revalidate before releasing. (Publication precedes the
-    // releases below: invariant (2) in gclock.hpp.)
-    if (s.prev_published != start_ts && !validate()) abort_self();
+    const std::uint64_t wv = stamp_and_count(*this);
+    // The classic TL2 skip: if no other writer stamped since our begin
+    // snapshot, the read set is trivially still valid. Otherwise revalidate
+    // before releasing. (The stamp precedes the releases below: invariant
+    // (1) in gclock.hpp.)
+    if (wv != start_ts + 1 && !validate()) abort_self();
     // Durable leg BEFORE the orec releases below: no other transaction may
     // observe post-state that is not yet durably decided. (Durable work
     // with an empty write set cannot exist — every redo entry and every
@@ -294,7 +291,7 @@ void Tx::commit_top() {
     if (plan.durable && (!dlog.empty() || !durable_allocs.empty())) {
       dur::commit_tx(*this);
     }
-    const std::uint64_t word = orec::make_version(s.ts);
+    const std::uint64_t word = orec::make_version(wv);
     for (const OwnedOrec& w : ws) {
       w.rec->store(word, std::memory_order_release);
     }
@@ -331,12 +328,11 @@ void Tx::rollback_top() {
   // restoring the old word would let a reader whose two orec samples
   // straddle our whole lock/dirty-write/rollback/release cycle accept a
   // dirty value (ABA on the version word). The bump forces revalidation —
-  // occasionally spurious, never unsafe. Batched-clock note: stamps are
-  // globally unique and discarded ranges are never reused (gclock.hpp
-  // invariant (3)), so the freshness argument survives batching.
+  // occasionally spurious, never unsafe. Stamps are globally unique
+  // (gclock.hpp invariant (2)), so the released version is fresh.
   undo.rollback(0, stack_low, frame.stack_begin);
   if (!ws.empty()) {
-    const std::uint64_t av = orec::make_version(stamp_and_count(*this).ts);
+    const std::uint64_t av = orec::make_version(stamp_and_count(*this));
     for (std::size_t i = ws.size(); i-- > 0;) {
       ws[i].rec->store(av, std::memory_order_release);
     }
@@ -373,7 +369,7 @@ void Tx::abort_nested() {
   undo.rollback(m.undo, stack_low,
                 reinterpret_cast<std::uintptr_t>(m.level_sp));
   if (ws.size() > m.ws) {
-    const std::uint64_t av = orec::make_version(stamp_and_count(*this).ts);
+    const std::uint64_t av = orec::make_version(stamp_and_count(*this));
     for (std::size_t i = ws.size(); i-- > m.ws;) {
       ws[i].rec->store(av, std::memory_order_release);
       // The fresh stamp protects CONCURRENT readers from ABA, but it must
@@ -448,11 +444,11 @@ bool Tx::validate() const {
 }
 
 bool Tx::extend() {
-  // Lazy revalidation against the published epoch: the snapshot moves
-  // forward only after the whole read set re-checks clean. The version
-  // that triggered this extend was released AFTER its publication
-  // (gclock.hpp invariant (2)), so `now` is always >= that version and
-  // a successful extend really does cover it.
+  // Lazy revalidation against the clock: the snapshot moves forward only
+  // after the whole read set re-checks clean. The version that triggered
+  // this extend was released AFTER it was stamped (gclock.hpp invariant
+  // (1)), so `now` is always >= that version and a successful extend
+  // really does cover it.
   const std::uint64_t now = global_clock().load();
   ++stats.lazy_revalidations;
   if (!validate()) return false;

@@ -451,7 +451,6 @@ TEST(FilterLog, LargeBlockInsertionCapIsConservative) {
   const std::size_t big = (FilterAllocLog::kMaxWordsPerBlock + 16) * 8;
   std::vector<std::uint64_t> arena(big / 8);
   log.insert(arena.data(), big);
-  EXPECT_GT(log.words_skipped(), 0u);
   // Words beyond the cap are conservatively absent.
   EXPECT_FALSE(log.contains(&arena[FilterAllocLog::kMaxWordsPerBlock + 1], 8));
   // Collisions may evict any word (false negatives allowed); at least some
@@ -464,24 +463,9 @@ TEST(FilterLog, LargeBlockInsertionCapIsConservative) {
 }
 
 // ---------------------------------------------------------------------------
-// Filter occupancy across the epoch-reset path (regression: occupancy and
-// entries() both used to lie after clear()).
+// Filter entries() across the epoch-reset path (regression: entries() used
+// to lie after clear()).
 // ---------------------------------------------------------------------------
-
-TEST(FilterLog, OccupancyResetsWithEpochClear) {
-  FilterAllocLog log;
-  EXPECT_EQ(log.occupancy(), 0u);
-  log.insert(ptr(0x10000), 64);  // 8 words
-  EXPECT_EQ(log.occupancy(), 8u);
-  log.clear();
-  // clear() is an epoch bump, not a table wipe — occupancy must still read
-  // zero, because every mark just became stale.
-  EXPECT_EQ(log.occupancy(), 0u);
-  log.insert(ptr(0x20000), 32);  // 4 words, re-using stale slots
-  EXPECT_EQ(log.occupancy(), 4u);
-  log.erase(ptr(0x20000), 32);
-  EXPECT_EQ(log.occupancy(), 0u);
-}
 
 TEST(FilterLog, EraseOfStaleEpochBlockIsANoOp) {
   FilterAllocLog log;
@@ -490,43 +474,28 @@ TEST(FilterLog, EraseOfStaleEpochBlockIsANoOp) {
   log.insert(ptr(0x20000), 64);
   // Erasing a block whose marks predate the clear must not disturb the
   // current epoch's counts. (Historically it decremented entries()
-  // unconditionally, so occupancy-style signals under-reported.)
+  // unconditionally, so entries() under-reported.)
   log.erase(ptr(0x10000), 64);
   EXPECT_EQ(log.entries(), 1u);
-  EXPECT_EQ(log.occupancy(), 8u);
   EXPECT_TRUE(log.contains(ptr(0x20000), 8));
   log.erase(ptr(0x30000), 64);  // never inserted at all
   EXPECT_EQ(log.entries(), 1u);
-  EXPECT_EQ(log.occupancy(), 8u);
-}
-
-TEST(FilterLog, OccupancyBoundedByTableUnderCollisions) {
-  FilterAllocLog log(4);  // 16 slots
-  for (std::uintptr_t i = 0; i < 64; ++i) {
-    log.insert(ptr(0x10000 + i * 0x100), 8);
-  }
-  // Collision overwrites evict marks; live occupancy can never exceed the
-  // table (the old blocks_ counter happily reported 64 here).
-  EXPECT_LE(log.occupancy(), log.table_size());
-  EXPECT_GT(log.occupancy(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Array-log overflow and peak accounting (TxStats::array_overflows reads
+// Array-log overflow accounting (TxStats::array_overflows reads
 // per-transaction deltas of dropped()).
 // ---------------------------------------------------------------------------
 
-TEST(ArrayLog, DroppedSurvivesClearAndPeakTracksHighWater) {
+TEST(ArrayLog, DroppedSurvivesClear) {
   ArrayAllocLog log;
   for (std::size_t i = 0; i <= ArrayAllocLog::kCapacity; ++i) {
     log.insert(ptr(0x10000 + i * 0x100), 8);
   }
   EXPECT_EQ(log.dropped(), 1u);
-  EXPECT_EQ(log.peak(), ArrayAllocLog::kCapacity);
   log.clear();
   EXPECT_EQ(log.entries(), 0u);
   EXPECT_EQ(log.dropped(), 1u);  // cumulative: per-tx deltas need this
-  EXPECT_EQ(log.peak(), ArrayAllocLog::kCapacity);
   log.insert(ptr(0x90000), 8);
   EXPECT_EQ(log.dropped(), 1u);
 }

@@ -1,22 +1,15 @@
-// Property tests for the sharded commit-time hot spots:
+// Property tests for the commit-time hot spots:
 //
-//  * the epoch-batched global clock (stm/gclock.hpp) — monotonic
-//    publication, no observable timestamp from an unpublished reservation,
-//    global uniqueness of stamps, and safe fallback on range exhaustion
-//    and on stale (overtaken) ranges;
+//  * the global clock (stm/gclock.hpp) — concurrent stamps are unique and
+//    per-thread monotonic, and load() never lags a returned stamp;
 //  * the striped ownership-record table (stm/orec.hpp) — cache-line
 //    alignment, same-line/adjacent-line mapping guarantees, hash
 //    distribution, and stripe isolation.
-//
-// The clock tests run against LOCAL GlobalClock instances with tiny batch
-// sizes, so range boundaries and staleness — rare events on the production
-// clock — happen constantly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -28,141 +21,39 @@ namespace cstm {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Epoch-batched clock
+// Global clock
 // ---------------------------------------------------------------------------
 
-TEST(BatchedClock, SingleThreadStampsAreConsecutiveWithinARange) {
-  GlobalClock clock(/*batch=*/8);
-  ClockReservation r;
-  std::uint64_t prev = 0;
-  std::uint64_t reservations = 0;
-  for (int i = 0; i < 100; ++i) {
-    const GlobalClock::Stamp s = clock.stamp_and_publish(r);
-    EXPECT_GT(s.ts, prev);
-    // Sole committer: every stamp lands exactly one above the previous —
-    // range boundaries are invisible because a fresh range starts right
-    // where the synced previous range ended.
-    if (prev != 0) {
-      EXPECT_EQ(s.ts, prev + 1);
-    }
-    EXPECT_EQ(clock.load(), s.ts);  // published before return
-    EXPECT_EQ(s.prev_published, prev);
-    prev = s.ts;
-    reservations += s.reservations;
-    EXPECT_EQ(s.discards, 0u);  // nobody can overtake a sole committer
-  }
-  // 100 stamps at batch 8 must have re-reserved; the count is exact.
-  EXPECT_EQ(reservations, (100 + 7) / 8u);
-}
-
-TEST(BatchedClock, ExhaustedRangeFallsBackToFreshReservation) {
-  GlobalClock clock(/*batch=*/1);  // every stamp exhausts its range
-  ClockReservation r;
-  for (std::uint64_t i = 1; i <= 32; ++i) {
-    const GlobalClock::Stamp s = clock.stamp_and_publish(r);
-    EXPECT_EQ(s.ts, i);
-    EXPECT_EQ(s.reservations, 1u);
-  }
-  EXPECT_EQ(clock.load(), 32u);
-}
-
-TEST(BatchedClock, StaleRangeIsDiscardedNeverStampedBelowEpoch) {
-  GlobalClock clock(/*batch=*/4);
-  ClockReservation a;
-  ClockReservation b;
-  // A stamps once from its range [1,5) ...
-  const GlobalClock::Stamp first = clock.stamp_and_publish(a);
-  EXPECT_EQ(first.ts, 1u);
-  // ... then B (range [5,9) and onward) drives the epoch past A's range.
-  std::uint64_t b_last = 0;
-  for (int i = 0; i < 10; ++i) b_last = clock.stamp_and_publish(b).ts;
-  ASSERT_GT(clock.load(), a.end);
-  // A's leftover stamps [2,5) are now below the epoch. Stamping through A
-  // must discard them — publishing any of them would violate monotonicity.
-  const GlobalClock::Stamp s = clock.stamp_and_publish(a);
-  EXPECT_GE(s.discards, 1u);
-  EXPECT_GT(s.ts, b_last);
-  EXPECT_EQ(clock.load(), s.ts);
-}
-
-TEST(BatchedClock, ConcurrentStampsAreUniqueAndPublicationIsMonotonic) {
-  GlobalClock clock(/*batch=*/3);  // tiny: forces constant re-reservation
+TEST(Clock, ConcurrentStampsAreUniqueAndMonotonic) {
+  // A local clock, so the counts below are exact.
+  GlobalClock clock;
   constexpr int kThreads = 8;
   constexpr int kStampsPerThread = 2000;
   std::vector<std::vector<std::uint64_t>> stamps(kThreads);
-  std::atomic<bool> monotonic{true};
+  std::atomic<bool> published{true};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ClockReservation r;
-      std::uint64_t last_seen = 0;
       for (int i = 0; i < kStampsPerThread; ++i) {
-        const GlobalClock::Stamp s = clock.stamp_and_publish(r);
-        stamps[t].push_back(s.ts);
-        // Publication-before-return, observed concurrently.
-        if (clock.load() < s.ts) monotonic.store(false);
-        // The epoch a single observer reads never goes backwards.
-        const std::uint64_t now = clock.load();
-        if (now < last_seen) monotonic.store(false);
-        last_seen = now;
+        const std::uint64_t ts = clock.stamp();
+        stamps[t].push_back(ts);
+        // Publish-before-release: a returned stamp is already visible.
+        if (clock.load() < ts) published.store(false);
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_TRUE(monotonic.load());
+  EXPECT_TRUE(published.load());
 
   std::vector<std::uint64_t> all;
-  for (auto& v : stamps) all.insert(all.end(), v.begin(), v.end());
+  for (const auto& v : stamps) {
+    for (std::size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i - 1], v[i]);
+    all.insert(all.end(), v.begin(), v.end());
+  }
   std::sort(all.begin(), all.end());
   EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end())
       << "duplicate commit timestamp: the anti-ABA uniqueness invariant";
-  // Per-thread stamps strictly increase (each thread's commits serialize
-  // in stamp order).
-  for (const auto& v : stamps) {
-    for (std::size_t i = 1; i < v.size(); ++i) EXPECT_LT(v[i - 1], v[i]);
-  }
-  // The final epoch is the maximum stamp ever published.
   EXPECT_EQ(clock.load(), all.back());
-}
-
-TEST(BatchedClock, NoObserverSeesAnUnpublishedReservation) {
-  // Readers sample the epoch while writers stamp. Every sampled value must
-  // be a timestamp some stamp_and_publish call actually returned (or the
-  // initial 0) — a reserved-but-unpublished timestamp must never leak into
-  // a reader's snapshot.
-  GlobalClock clock(/*batch=*/5);
-  constexpr int kWriters = 4;
-  constexpr int kStampsPerWriter = 4000;
-  std::vector<std::vector<std::uint64_t>> stamps(kWriters);
-  std::vector<std::uint64_t> samples;
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      samples.push_back(clock.load());
-    }
-  });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&, t] {
-      ClockReservation r;
-      for (int i = 0; i < kStampsPerWriter; ++i) {
-        stamps[t].push_back(clock.stamp_and_publish(r).ts);
-      }
-    });
-  }
-  for (auto& th : writers) th.join();
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  std::set<std::uint64_t> published{0};
-  for (auto& v : stamps) published.insert(v.begin(), v.end());
-  for (std::uint64_t s : samples) {
-    ASSERT_TRUE(published.count(s) != 0)
-        << "observer saw " << s << ", which no transaction ever published";
-  }
-  // Reserved-but-never-stamped timestamps exist (discarded ranges), yet the
-  // epoch stays at a published value below the reservation watermark.
-  EXPECT_LE(clock.load(), clock.reserved_watermark());
 }
 
 // ---------------------------------------------------------------------------
@@ -250,21 +141,17 @@ TEST(StripedOrecs, MixingHashSpreadsConsecutiveLines) {
 // Merged batches against the production clock
 // ---------------------------------------------------------------------------
 
-TEST(BatchedClockTx, MergedBatchPublishesOnce) {
+TEST(ClockTx, MergedBatchPublishesOnce) {
   // The txbatch form of WritingTransactionsAdvanceClockOnce
   // (tests/test_stm_advanced.cpp): N writing sub-ops merged into one outer
-  // transaction are ONE writing commit, so the published epoch advances
-  // once per drained batch — never once per sub-op. Nested commits don't
-  // touch the clock; only commit_top stamps.
+  // transaction are ONE writing commit, so the clock advances by exactly 1
+  // per drained batch — never once per sub-op. Nested commits don't touch
+  // the clock; only commit_top stamps.
   set_global_config(TxConfig::baseline());
   std::uint64_t x = 0;
-  // Warm the committer's reserved range so at most one range-boundary jump
-  // can fall inside the measured run.
-  atomic([&](Tx& tx) { tm_write(tx, &x, std::uint64_t{1}); });
   constexpr int kRounds = 10;
   constexpr int kOpsPerBatch = 16;
   std::uint64_t prev = global_clock().load();
-  std::uint64_t single_steps = 0;
   for (int round = 0; round < kRounds; ++round) {
     txbatch::BatcherOptions opts;
     opts.max_batch = kOpsPerBatch;
@@ -276,14 +163,9 @@ TEST(BatchedClockTx, MergedBatchPublishesOnce) {
     }
     batcher.drain();
     const std::uint64_t now = global_clock().load();
-    EXPECT_GT(now, prev) << "batch " << round << " did not publish";
-    // A 16-op batch stamping per sub-op would advance by 16; the merged
-    // commit advances by exactly 1 inside a synced range.
-    EXPECT_LE(now, prev + GlobalClock::kDefaultBatch);
-    if (now == prev + 1) ++single_steps;
+    EXPECT_EQ(now, prev + 1) << "batch " << round;
     prev = now;
   }
-  EXPECT_GE(single_steps, static_cast<std::uint64_t>(kRounds) - 1);
   set_global_config(TxConfig::baseline());
 }
 

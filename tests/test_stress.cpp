@@ -1,6 +1,6 @@
 // High-thread correctness torture tier (ctest label: stress).
 //
-// On a 1-core CI box the scalability work — epoch-batched clock, striped
+// On a 1-core CI box the scalability work — the global clock, striped
 // orecs, backoff contention management — cannot be gated on throughput, so
 // it is gated on correctness under heavy oversubscription instead: 16 and
 // 32 threads hammering shared containers, under release, ASan, and TSan.
