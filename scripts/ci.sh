@@ -100,7 +100,7 @@ case "$mode" in
     export DEBIAN_FRONTEND=noninteractive
     apt-get update
     apt-get install -y --no-install-recommends \
-      cmake g++ make python3 ccache libgtest-dev libbenchmark-dev \
+      cmake g++ make python3 ccache libgtest-dev \
       "clang-format-${CLANG_FORMAT_VERSION}"
     # The check-format target looks for plain `clang-format`.
     update-alternatives --install /usr/bin/clang-format clang-format \

@@ -26,9 +26,12 @@ void FilterAllocLog::insert(const void* addr, std::size_t size) {
 }
 
 void FilterAllocLog::erase(const void* addr, std::size_t size) {
+  if (size == 0) return;
   const auto begin = reinterpret_cast<std::uintptr_t>(addr);
   const std::uintptr_t first = begin & kWordMask;
-  const std::uintptr_t last = (begin + size - 1) & kWordMask;
+  // insert() marked at most kMaxWordsPerBlock words; none past them to clear.
+  const std::uintptr_t last = std::min((begin + size - 1) & kWordMask,
+                                       first + (kMaxWordsPerBlock - 1) * 8);
   bool any_live = false;
   for (std::uintptr_t w = first; w <= last; w += 8) {
     Entry& e = table_[slot_of(w)];

@@ -190,17 +190,12 @@ bool DurableHeap::open(const std::string& path, const HeapOptions& opt,
     }
   }
   next_seq_ = header()->applied_seq + 1;
-#if defined(CSTM_DURABLE_REAL_PM)
-  working_log_ = backing_log_;
-  working_data_ = backing_data_;
-#else
   working_log_ = static_cast<unsigned char*>(std::calloc(1, log_bytes_));
   working_data_ = static_cast<unsigned char*>(std::malloc(data_bytes_));
   if (working_log_ == nullptr || working_data_ == nullptr) {
     fatal("working-copy allocation failed");
   }
   std::memcpy(working_data_, backing_data_, data_bytes_);
-#endif
   if (result != nullptr) *result = res;
   return true;
 }
@@ -210,10 +205,8 @@ void DurableHeap::close() {
   if (active() == this) deactivate();
   msync(backing_, kHeaderBytes + log_bytes_ + data_bytes_, MS_SYNC);
   munmap(backing_, kHeaderBytes + log_bytes_ + data_bytes_);
-#if !defined(CSTM_DURABLE_REAL_PM)
   std::free(working_log_);
   std::free(working_data_);
-#endif
   backing_ = backing_log_ = backing_data_ = nullptr;
   working_log_ = working_data_ = nullptr;
   ::close(fd_);
@@ -271,29 +264,13 @@ void DurableHeap::writeback_data(const void* working_ptr, std::size_t len,
                                  std::uint64_t* pwbs) {
   const std::size_t off = static_cast<const unsigned char*>(working_ptr) -
                           working_data_;
-#if defined(CSTM_DURABLE_REAL_PM)
-  const auto base = reinterpret_cast<std::uintptr_t>(backing_data_ + off);
-  for (std::uintptr_t a = base / kPwbLine * kPwbLine; a < base + len;
-       a += kPwbLine) {
-    hw_writeback_line(reinterpret_cast<void*>(a));
-  }
-#else
   std::memcpy(backing_data_ + off, working_data_ + off, len);
-#endif
   *pwbs += lines_spanned(reinterpret_cast<std::uintptr_t>(working_ptr), len);
 }
 
 void DurableHeap::writeback_log(std::size_t off, std::size_t len,
                                 std::uint64_t* pwbs) {
-#if defined(CSTM_DURABLE_REAL_PM)
-  const auto base = reinterpret_cast<std::uintptr_t>(backing_log_ + off);
-  for (std::uintptr_t a = base / kPwbLine * kPwbLine; a < base + len;
-       a += kPwbLine) {
-    hw_writeback_line(reinterpret_cast<void*>(a));
-  }
-#else
   std::memcpy(backing_log_ + off, working_log_ + off, len);
-#endif
   *pwbs += lines_spanned(off, len);
 }
 

@@ -2,20 +2,14 @@
 //
 // Real persistent-memory code orders stores with a cache-line write-back
 // (clwb / clflushopt / clflush) followed by a store fence; this repo must
-// also run — and crash-test — on machines with no PM at all. The shim
-// therefore has two modes:
-//
-//  * Simulated PM (default). The durable heap keeps TWO copies of its
-//    state: a volatile working copy that transactions read and write (the
-//    "CPU cache") and a file-backed mmap (the "persistent medium"). pwb
-//    copies bytes working→backing; pfence is a compiler barrier. A process
-//    that dies loses exactly the bytes it never wrote back — which is what
-//    makes the fork-based crash-injection harness deterministic and
-//    meaningful (tests/test_durable_recovery.cpp).
-//  * Real PM (-DCSTM_DURABLE_REAL_PM, x86-64 only). The working copy IS
-//    the mapping and hw_writeback_line/hw_sfence below issue the actual
-//    instructions. Untested in CI (no PM hardware); kept deliberately
-//    thin.
+// run — and crash-test — on machines with no PM at all, so it simulates
+// PM. The durable heap keeps TWO copies of its state: a volatile working
+// copy that transactions read and write (the "CPU cache") and a
+// file-backed mmap (the "persistent medium"). pwb copies bytes
+// working→backing; pfence is a compiler barrier. A process that dies
+// loses exactly the bytes it never wrote back — which is what makes the
+// fork-based crash-injection harness deterministic and meaningful
+// (tests/test_durable_recovery.cpp).
 //
 // The CrashPoint hook is the heart of the recovery harness: commit_tx
 // announces every step of the flush/fence sequence through crash_point(),
@@ -71,41 +65,15 @@ inline void crash_point(CrashPoint p) {
 inline constexpr std::size_t kPwbLine = 64;
 
 /// Cache lines spanned by [addr, addr+len) — the unit pwb traffic is
-/// counted in, both in simulation and on real hardware.
+/// counted in.
 inline std::uint64_t lines_spanned(std::uintptr_t addr, std::size_t len) {
   if (len == 0) return 0;
   return (addr + len - 1) / kPwbLine - addr / kPwbLine + 1;
 }
 
-// -- Real-PM instruction wrappers -------------------------------------------
-// Always compiled (so they cannot bit-rot) but only *called* when
-// CSTM_DURABLE_REAL_PM maps the working copy directly onto the medium.
-
-#if defined(__x86_64__)
-inline void hw_writeback_line(void* p) {
-#if defined(__CLWB__)
-  __builtin_ia32_clwb(p);
-#elif defined(__CLFLUSHOPT__)
-  __builtin_ia32_clflushopt(p);
-#else
-  __builtin_ia32_clflush(p);
-#endif
-}
-inline void hw_sfence() { __builtin_ia32_sfence(); }
-#else
-inline void hw_writeback_line(void*) {}
-inline void hw_sfence() { std::atomic_thread_fence(std::memory_order_seq_cst); }
-#endif
-
-/// Store fence. Simulation mode needs only a compiler barrier: the
+/// Store fence. Only a compiler barrier is needed: the
 /// simulated medium is updated synchronously by pwb, so ordering is the
 /// program order of the writeback calls. Counted by the caller.
-inline void pfence() {
-#if defined(CSTM_DURABLE_REAL_PM)
-  hw_sfence();
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
+inline void pfence() { std::atomic_signal_fence(std::memory_order_seq_cst); }
 
 }  // namespace cstm::dur

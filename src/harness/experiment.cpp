@@ -17,7 +17,6 @@
 
 #include "durable/durable_heap.hpp"
 #include "stm/stm.hpp"
-#include "support/stats.hpp"
 #include "txir/kernels.hpp"
 
 namespace cstm::harness {
@@ -142,16 +141,6 @@ RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
   return result;
 }
 
-std::vector<std::pair<std::string, TxConfig>> table_configs() {
-  return {
-      {"baseline", TxConfig::baseline()},
-      {"tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
-      {"array", TxConfig::runtime_rw(AllocLogKind::kArray)},
-      {"filtering", TxConfig::runtime_rw(AllocLogKind::kFilter)},
-      {"compiler", TxConfig::compiler()},
-  };
-}
-
 namespace {
 
 /// The apps a per-app experiment runs: every STAMP app, or the --apps
@@ -188,6 +177,18 @@ struct Row {
     std::sort(s.begin(), s.end());
     const std::size_t n = s.size();
     return n % 2 == 1 ? s[n / 2] : (s[n / 2 - 1] + s[n / 2]) / 2.0;
+  }
+
+  /// Sample standard deviation (n - 1) as a percent of the mean.
+  double rsd_percent() const {
+    if (samples.size() < 2) return 0.0;
+    const double n = static_cast<double>(samples.size());
+    const double mean =
+        std::accumulate(samples.begin(), samples.end(), 0.0) / n;
+    if (mean == 0.0) return 0.0;
+    double ss = 0.0;
+    for (const double x : samples) ss += (x - mean) * (x - mean);
+    return 100.0 * std::sqrt(ss / (n - 1.0)) / mean;
   }
 };
 
@@ -287,6 +288,17 @@ const Row& find_row(const std::vector<Row>& rows, const std::string& app,
   std::abort();
 }
 
+/// The barrier-removal techniques of Figure 9 and Tables 1-2, in paper
+/// order: the three runtime stack+heap R+W logs and the compiler analysis.
+std::vector<std::pair<std::string, TxConfig>> removal_techniques() {
+  return {
+      {"tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
+      {"array", TxConfig::runtime_rw(AllocLogKind::kArray)},
+      {"filtering", TxConfig::runtime_rw(AllocLogKind::kFilter)},
+      {"compiler", TxConfig::compiler()},
+  };
+}
+
 /// Measures every app under "baseline" and each of @p configs at @p threads
 /// and prints the app x config improvement-over-baseline table.
 void speedup_table(
@@ -323,17 +335,21 @@ void analysis_stats() {
 
 void fig8_breakdown(const Options& opt) {
   analysis_stats();
+  std::vector<Cell> cells;
+  for (const auto& app : selected_apps(opt)) {
+    cells.push_back({app, "counting", TxConfig::counting(), 1});
+  }
+  const std::vector<Row> rows = measure("fig8", cells, opt);
   std::printf("# Figure 8: breakdown of compiler-inserted STM barriers (1 thread)\n");
   std::printf("# categories: captured-heap / captured-stack / not-required-other / required\n");
   std::printf("%-15s %10s %8s %8s %8s %8s   %10s %8s %8s %8s %8s\n", "app",
               "reads", "heap%", "stack%", "other%", "req%", "writes", "heap%",
               "stack%", "other%", "req%");
   TxStats all_sum;
-  for (const auto& app : selected_apps(opt)) {
-    const RunResult res = run_once(app, 1, TxConfig::counting(), opt);
-    const TxStats& s = res.stats;
+  for (const Row& row : rows) {
+    const TxStats& s = row.counters;
     std::printf("%-15s %10llu %8.1f %8.1f %8.1f %8.1f   %10llu %8.1f %8.1f %8.1f %8.1f\n",
-                app.c_str(),
+                row.cell.app.c_str(),
                 static_cast<unsigned long long>(s.reads),
                 pct(s.read_cap_heap, s.reads), pct(s.read_cap_stack, s.reads),
                 pct(s.read_not_required, s.reads), pct(s.read_required, s.reads),
@@ -355,13 +371,16 @@ void fig8_breakdown(const Options& opt) {
 
 void fig9_removed(const Options& opt) {
   analysis_stats();
+  const std::vector<std::pair<std::string, TxConfig>> techniques =
+      removal_techniques();
+  std::vector<Cell> cells;
+  for (const auto& app : selected_apps(opt)) {
+    for (const auto& [name, cfg] : techniques) {
+      cells.push_back({app, name, cfg, 1});
+    }
+  }
+  const std::vector<Row> rows = measure("fig9", cells, opt);
   std::printf("# Figure 9: portion of barriers removed by each technique (1 thread)\n");
-  const std::vector<std::pair<std::string, TxConfig>> techniques = {
-      {"tree", TxConfig::runtime_rw(AllocLogKind::kTree)},
-      {"array", TxConfig::runtime_rw(AllocLogKind::kArray)},
-      {"filtering", TxConfig::runtime_rw(AllocLogKind::kFilter)},
-      {"compiler", TxConfig::compiler()},
-  };
   std::printf("%-15s", "app");
   for (const auto& [name, cfg] : techniques) {
     std::printf(" %9s-R %9s-W", name.c_str(), name.c_str());
@@ -370,8 +389,7 @@ void fig9_removed(const Options& opt) {
   for (const auto& app : selected_apps(opt)) {
     std::printf("%-15s", app.c_str());
     for (const auto& [name, cfg] : techniques) {
-      const RunResult res = run_once(app, 1, cfg, opt);
-      const TxStats& s = res.stats;
+      const TxStats& s = find_row(rows, app, name, 1).counters;
       std::printf(" %10.1f%% %10.1f%%", pct(s.read_elided(), s.reads),
                   pct(s.write_elided(), s.writes));
     }
@@ -448,40 +466,37 @@ void fig11b_structures(const Options& opt) {
                  {"compiler", TxConfig::compiler()}});
 }
 
-void table1_aborts(const Options& opt) {
-  std::printf("# Table 1: abort-to-commit ratio at %d threads\n", opt.threads);
-  std::printf("%-15s", "app");
-  for (const auto& [name, cfg] : table_configs()) std::printf(" %10s", name.c_str());
-  std::printf("\n");
-  for (const auto& app : selected_apps(opt)) {
-    std::printf("%-15s", app.c_str());
-    for (const auto& [name, cfg] : table_configs()) {
-      const RunResult res = run_once(app, opt.threads, cfg, opt);
-      std::printf(" %10.2f", res.stats.abort_to_commit_ratio());
+void tables(const Options& opt) {
+  Options o = opt;
+  o.reps = std::max(opt.reps, 5);  // Table 2's deviation is over 5 runs
+  std::vector<std::pair<std::string, TxConfig>> configs = removal_techniques();
+  configs.insert(configs.begin(), {"baseline", TxConfig::baseline()});
+  std::vector<Cell> cells;
+  for (const auto& app : selected_apps(o)) {
+    for (const auto& [name, cfg] : configs) {
+      cells.push_back({app, name, cfg, o.threads});
     }
-    std::printf("\n");
   }
-}
-
-void table2_variance(const Options& opt) {
-  const int reps = opt.reps < 5 ? 5 : opt.reps;  // the paper uses 5 runs
-  std::printf("# Table 2: percent relative standard deviation over %d runs at %d threads\n",
-              reps, opt.threads);
-  std::printf("%-15s", "app");
-  for (const auto& [name, cfg] : table_configs()) std::printf(" %10s", name.c_str());
-  std::printf("\n");
-  for (const auto& app : selected_apps(opt)) {
-    std::printf("%-15s", app.c_str());
-    for (const auto& [name, cfg] : table_configs()) {
-      std::vector<double> times;
-      for (int r = 0; r < reps; ++r) {
-        times.push_back(run_once(app, opt.threads, cfg, opt).seconds);
+  const std::vector<Row> rows = measure("tables", cells, o);
+  // Prints one app x config table of value(row).
+  auto table = [&](double (*value)(const Row&)) {
+    std::printf("%-15s", "app");
+    for (const auto& [name, cfg] : configs) std::printf(" %10s", name.c_str());
+    std::printf("\n");
+    for (const auto& app : selected_apps(o)) {
+      std::printf("%-15s", app.c_str());
+      for (const auto& [name, cfg] : configs) {
+        std::printf(" %10.2f", value(find_row(rows, app, name, o.threads)));
       }
-      const Summary s = summarize(times);
-      std::printf(" %10.2f", s.rsd_percent);
+      std::printf("\n");
     }
-    std::printf("\n");
-  }
+  };
+  std::printf("# Table 1: abort-to-commit ratio at %d threads\n", o.threads);
+  table([](const Row& r) { return r.counters.abort_to_commit_ratio(); });
+  std::printf("# Table 2: percent relative standard deviation over %d runs "
+              "at %d threads\n",
+              o.reps, o.threads);
+  table([](const Row& r) { return r.rsd_percent(); });
 }
 
 void txbatch_stream(const Options& opt) {

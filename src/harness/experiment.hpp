@@ -2,9 +2,8 @@
 // configurations and prints each table/figure of Section 4. One bench
 // binary per experiment calls exactly one of these printers.
 //
-// The recorded experiments (fig10, fig11a, fig11b, scaling, txbatch,
-// durable) are each a list of cells, all measured by one function
-// rep by rep, in an order shuffled from --seed. Each printer computes its
+// Every experiment is a list of cells, all measured by one function rep by
+// rep, in an order shuffled from --seed. Each printer computes its
 // table from the measured rows and, with --json, saves them as a
 // BENCH_*.json record through one writer. Every record has the one schema
 // scripts/bench_gate.py compares:
@@ -15,7 +14,7 @@
 //              "counters": {last rep's nonzero TxStats counters}}, ...]}
 //
 // A row is keyed by (app, config, threads). Derived numbers (improvement %,
-// overhead %, ops/s, capture-hit %) are not stored: the tables and the
+// overhead %, ops/s, capture-hit %, abort ratio, RSD) are not stored: the tables and the
 // comparator compute them from samples and counters.
 #pragma once
 
@@ -55,13 +54,11 @@ struct RunResult {
 /// One complete benchmark execution under @p cfg. Installs the config,
 /// resets statistics, runs, and collects the stats snapshot. @p batch 0 runs
 /// the app's workers (stamp::run_app); batch > 0 replays its request stream
-/// through txbatch at that merge factor (stamp::run_app_stream).
+/// through txbatch at that merge factor (stamp::run_app_stream). The
+/// printers below reach it only through their cells; it is public for the
+/// STAMP app tests.
 RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
                    const Options& opt, std::size_t batch = 0);
-
-/// The five named configurations of Tables 1-2 (baseline, tree, array,
-/// filter, compiler) in paper order.
-std::vector<std::pair<std::string, TxConfig>> table_configs();
 
 // -- Experiment printers (paper Section 4) -----------------------------------
 
@@ -81,8 +78,11 @@ void fig11a_configs(const Options& opt);        // Figure 11 (a)
 /// BENCH_scaling.json record a multi-core box will commit).
 void fig11a_scaling(const Options& opt);
 void fig11b_structures(const Options& opt);     // Figure 11 (b)
-void table1_aborts(const Options& opt);         // Table 1
-void table2_variance(const Options& opt);       // Table 2
+/// Tables 1 and 2 from one set of cells: the five configurations (baseline,
+/// tree, array, filtering, compiler) at opt.threads, at least 5 reps each.
+/// Table 1 is each row's abort-to-commit ratio, Table 2 the percent
+/// relative standard deviation of its samples.
+void tables(const Options& opt);
 
 /// txbatch throughput-vs-merge-factor sweep: replays the vacation-low and
 /// intruder request streams through txbatch::Batcher at batch sizes

@@ -460,6 +460,12 @@ TEST(FilterLog, LargeBlockInsertionCapIsConservative) {
     if (log.contains(&arena[i], 8)) ++present;
   }
   EXPECT_GT(present, FilterAllocLog::kMaxWordsPerBlock / 4);
+  // Erase walks the same capped range and leaves nothing of the block.
+  log.erase(arena.data(), big);
+  EXPECT_EQ(log.entries(), 0u);
+  for (std::size_t i = 0; i < arena.size(); ++i) {
+    EXPECT_FALSE(log.contains(&arena[i], 8)) << "word " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
