@@ -1,5 +1,8 @@
 #include "stamp/bayes/bayes.hpp"
 
+#include <algorithm>
+#include <functional>
+
 #include "capture/private_registry.hpp"
 #include "stm/stm.hpp"
 #include "support/random.hpp"
@@ -28,11 +31,20 @@ void BayesApp::setup(const AppParams& params) {
   for (std::size_t v = 0; v < num_vars_; ++v) {
     parents_.push_back(std::make_unique<TxList<std::uint64_t>>());
   }
-  Tx& tx = current_tx();
-  for (std::size_t t = 0; t < initial_tasks_; ++t) {
-    task_list_->insert(
-        tx, pack_task(rng.below(1u << 20), rng.below(num_vars_)));
+  // Each task draws its var, then its score, in two statements so every
+  // compiler draws the same input (tests/test_stamp_apps.cpp pins the
+  // list). The tasks go in descending order, so each insert stops at the
+  // head of the ascending list: setup is one sort, not a list walk per
+  // task. Equal tasks are identical, so the order ties go in is moot.
+  std::vector<std::uint64_t> tasks(initial_tasks_);
+  for (auto& task : tasks) {
+    const std::uint64_t var = rng.below(num_vars_);
+    const std::uint64_t score = rng.below(1u << 20);
+    task = pack_task(score, var);
   }
+  std::sort(tasks.begin(), tasks.end(), std::greater<>());
+  Tx& tx = current_tx();
+  for (const std::uint64_t task : tasks) task_list_->insert(tx, task);
   tasks_created_.poke(initial_tasks_);
   tasks_done_.poke(0);
   arcs_added_.poke(0);

@@ -39,6 +39,8 @@ class BayesApp : public App {
   alignas(64) tvar<std::uint64_t, bayes_sites::kCounter> tasks_done_{0};
   alignas(64) tvar<std::uint64_t, bayes_sites::kCounter> tasks_created_{0};
   alignas(64) tvar<std::uint64_t, bayes_sites::kCounter> arcs_added_{0};
+
+  friend struct BayesTestAccess;
 };
 
 }  // namespace cstm::stamp

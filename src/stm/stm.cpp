@@ -227,8 +227,8 @@ void Tx::reset_logs() {
   with_active_log([](auto& log) { log.clear(); });
   // Fold the array log's overflow counter (cumulative across clears, by
   // design) into the stats as a delta. Every transaction exit path — commit,
-  // abort, cancel — and begin_top come through reset_logs, so the counter is
-  // current whenever anyone snapshots stats.
+  // abort, cancel — comes through reset_logs, so the counter is current
+  // whenever anyone snapshots stats.
   const std::uint64_t dropped = frame.array.dropped();
   if (dropped > array_dropped_seen_) {
     stats.array_overflows += dropped - array_dropped_seen_;
@@ -249,6 +249,10 @@ void Tx::begin_top(const void* sp) {
     cfg = global_config();
     tls_cfg_epoch = epoch;
     plan = BarrierPlan::compile(cfg);
+    // Construct the plan's log and cache its views in the frame (the plan
+    // paths read frame.tree and the filter view without a null check). Every
+    // exit path cleared the logs through reset_logs, so begin clears none.
+    with_active_log([](auto&) {});
   }
   flush_quarantine(/*force=*/false);
   start_ts = global_clock().load();
@@ -256,7 +260,6 @@ void Tx::begin_top(const void* sp) {
   frame.stack_begin = reinterpret_cast<std::uintptr_t>(sp);
   depth = 1;
   frame.priv = &thread_private_registry();
-  reset_logs();
   if (plan.log == ActiveLog::kFilter) {
     // The filter's O(1) clear is an epoch bump; re-cache the frame's view.
     frame.filter_epoch = filter_log().epoch();

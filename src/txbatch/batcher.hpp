@@ -4,9 +4,9 @@
 //
 // Tiny transactions leave the capture-elision machinery idle: they allocate
 // little, so almost every access hits pre-existing shared data and pays a
-// full barrier, and the per-transaction fixed costs (begin_top's plan/log
-// reset, commit_top's clock publication and orec releases) dominate the few
-// useful accesses. The Batcher queues small transactional operations and
+// full barrier, and the per-transaction fixed costs (begin_top's plan check,
+// commit_top's clock publication, orec releases and log reset) dominate the
+// few useful accesses. The Batcher queues small transactional operations and
 // executes N of them inside ONE outer STM transaction:
 //
 //   queue ──policy──▶ [op1 op2 ... opN]  ──▶  atomic(outer) {

@@ -529,6 +529,55 @@ TEST(ArrayLog, OverflowCounterSurfacesInStats) {
 }
 
 // ---------------------------------------------------------------------------
+// Switching the plan's log between transactions. begin_top clears no log:
+// every exit clears the active one, and the begin that compiles a new plan
+// constructs its log and caches the frame's views.
+// ---------------------------------------------------------------------------
+
+TEST(ActiveLog, SwitchBetweenTransactionsHitsCapturedAndMissesShared) {
+  const AllocLogKind kinds[] = {AllocLogKind::kTree,  AllocLogKind::kFilter,
+                                AllocLogKind::kArray, AllocLogKind::kTree,
+                                AllocLogKind::kArray, AllocLogKind::kFilter,
+                                AllocLogKind::kTree};
+  static std::uint64_t shared_word = 0;
+  const auto run = [&] {
+    // Allocated and written by the previous transaction: shared once it
+    // committed, so a log left uncleared by that transaction would hit it.
+    std::uint64_t* published = nullptr;
+    for (const AllocLogKind kind : kinds) {
+      set_global_config(TxConfig::runtime_rw(kind));
+      std::uint64_t fresh_read_hits = 0, fresh_write_hits = 0;
+      std::uint64_t shared_hits = 0;
+      std::uint64_t* fresh = nullptr;
+      atomic([&](Tx& tx) {
+        // Shared reads first: no allocation has touched the log yet, so
+        // these probe it exactly as begin_top left it.
+        const std::uint64_t r0 = tx.stats.read_elided_heap;
+        tm_read(tx, &shared_word);
+        if (published != nullptr) tm_read(tx, published);
+        shared_hits = tx.stats.read_elided_heap - r0;
+        const std::uint64_t r1 = tx.stats.read_elided_heap;
+        const std::uint64_t w1 = tx.stats.write_elided_heap;
+        fresh = static_cast<std::uint64_t*>(tx_malloc(tx, 64));
+        tm_write(tx, fresh, std::uint64_t{7});
+        EXPECT_EQ(tm_read(tx, fresh), 7u);
+        fresh_read_hits = tx.stats.read_elided_heap - r1;
+        fresh_write_hits = tx.stats.write_elided_heap - w1;
+      });
+      EXPECT_EQ(fresh_read_hits, 1u) << to_string(kind);
+      EXPECT_EQ(fresh_write_hits, 1u) << to_string(kind);
+      EXPECT_EQ(shared_hits, 0u) << to_string(kind);
+      Pool::deallocate(published);
+      published = fresh;
+    }
+    Pool::deallocate(published);
+  };
+  run();
+  std::thread(run).join();  // a fresh descriptor: no log constructed yet
+  set_global_config(TxConfig::baseline());
+}
+
+// ---------------------------------------------------------------------------
 // Private-region registry (annotation APIs, Section 3.1.3).
 // ---------------------------------------------------------------------------
 

@@ -6,15 +6,39 @@
 // + containers + application logic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "stamp/app.hpp"
+#include "stamp/bayes/bayes.hpp"
 #include "stm/stm.hpp"
 
 namespace cstm {
+
+namespace stamp {
+/// Reads BayesApp's private task list, head first.
+struct BayesTestAccess {
+  static std::vector<std::uint64_t> task_list(BayesApp& app) {
+    TxList<std::uint64_t>& list = *app.task_list_;
+    std::vector<std::uint64_t> out;
+    atomic([&](Tx& tx) {
+      out.clear();
+      TxList<std::uint64_t>::Iterator it;
+      list.iter_reset(tx, &it);
+      while (list.iter_has_next(tx, &it)) {
+        out.push_back(list.iter_next(tx, &it));
+      }
+    });
+    return out;
+  }
+};
+}  // namespace stamp
+
 namespace {
 
 struct Case {
@@ -123,6 +147,61 @@ TEST(StampProfiles, VacationCompilerElidesStatically) {
   const auto res = harness::run_once("vacation-low", 1, TxConfig::compiler(), opt);
   const TxStats& s = res.stats;
   EXPECT_GT(s.write_elided_static, 0u);
+}
+
+// -- bayes input --------------------------------------------------------------
+// setup() draws the learner's task list from the seed. The list is the
+// workload every bayes row measures, so its contents are pinned: a change to
+// how it is built must not change what is built.
+
+std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t v : values) h = (h ^ v) * 1099511628211ull;
+  return h;
+}
+
+TEST(BayesSetup, TaskListIsPinned) {
+  struct Pin {
+    double scale;
+    std::uint64_t seed;
+    std::size_t tasks;  // num_vars * 24, num_vars = 96 * scale
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {1.0, 20090811, 96 * 24, 0x288e4b3317fa01dbull},
+      {1.0, 3, 96 * 24, 0xa281b741dcb064a7ull},
+      {2.0, 20090811, 192 * 24, 0xd6d325aa2978f45eull},
+      {2.0, 3, 192 * 24, 0xecb945285fd4f05bull},
+  };
+  for (const Pin& p : pins) {
+    stamp::BayesApp app;
+    stamp::AppParams params;
+    params.scale = p.scale;
+    params.seed = p.seed;
+    app.setup(params);
+    const std::vector<std::uint64_t> tasks =
+        stamp::BayesTestAccess::task_list(app);
+    EXPECT_EQ(tasks.size(), p.tasks) << "scale " << p.scale;
+    EXPECT_TRUE(std::is_sorted(tasks.begin(), tasks.end()))
+        << "scale " << p.scale << " seed " << p.seed;
+    EXPECT_EQ(fnv1a(tasks), p.digest)
+        << "scale " << p.scale << " seed " << p.seed << std::hex
+        << " digest 0x" << fnv1a(tasks);
+  }
+}
+
+// Building the sorted list one walking insert per task is quadratic: over
+// 3 s at scale 16 in a Release build, against milliseconds for the sorted
+// build. Setup is untimed but reported (capbench's setup_s).
+TEST(BayesSetup, SortedBuildIsNotQuadratic) {
+  stamp::BayesApp app;
+  stamp::AppParams params;
+  params.scale = 16.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  app.setup(params);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), 1.0);
 }
 
 // -- Timed region -------------------------------------------------------------
