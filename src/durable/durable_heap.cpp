@@ -7,9 +7,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <vector>
@@ -73,6 +76,35 @@ Runtime& runtime() {
   return rt;
 }
 
+/// Copies the file bytes [base, base+n) into @p dst — a fresh demand-zero
+/// mapping — page by page, skipping all-zero pages so they stay
+/// non-resident. pread maps no file page into the address space.
+bool load_nonzero_pages(int fd, off_t base, unsigned char* dst,
+                        std::size_t n) {
+  constexpr std::size_t kPage = 4096;
+  constexpr std::size_t kChunk = 16 * kPage;
+  // On the stack, so open() leaves the process allocator as it found it:
+  // freeing a large malloc'd buffer raises glibc's mmap threshold.
+  unsigned char buf[kChunk];
+  for (std::size_t off = 0; off < n; off += kChunk) {
+    const std::size_t len = std::min(kChunk, n - off);
+    for (std::size_t got = 0; got < len;) {
+      const ssize_t r = pread(fd, buf + got, len - got,
+                              base + static_cast<off_t>(off + got));
+      if (r < 0 && errno == EINTR) continue;
+      if (r <= 0) return false;
+      got += static_cast<std::size_t>(r);
+    }
+    for (std::size_t p = 0; p < len; p += kPage) {
+      const unsigned char* page = buf + p;
+      const std::size_t m = std::min(kPage, len - p);
+      if (page[0] == 0 && std::memcmp(page, page + 1, m - 1) == 0) continue;
+      std::memcpy(dst + off + p, page, m);
+    }
+  }
+  return true;
+}
+
 [[noreturn]] void fatal(const char* what) {
   std::fprintf(stderr, "cstm durable: %s\n", what);
   std::abort();
@@ -110,42 +142,43 @@ bool DurableHeap::open(const std::string& path, const HeapOptions& opt,
   OpenResult res;
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) return false;
-  struct stat st {};
-  if (fstat(fd_, &st) != 0) {
-    ::close(fd_);
-    fd_ = -1;
+  // close() releases whatever a failed open() had mapped so far.
+  auto fail = [this] {
+    close();
     return false;
-  }
-  std::size_t data_bytes = opt.data_bytes;
-  std::size_t log_bytes = opt.log_bytes;
+  };
+  struct stat st {};
+  if (fstat(fd_, &st) != 0) return fail();
+  std::uint64_t data_bytes = opt.data_bytes;
+  std::uint64_t log_bytes = opt.log_bytes;
   const bool created = st.st_size == 0;
-  if (created) {
-    if (ftruncate(fd_, static_cast<off_t>(kHeaderBytes + log_bytes +
-                                          data_bytes)) != 0) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
-    }
-  }
-  // Map the header first to learn an existing file's geometry.
   if (!created) {
     Header hdr{};
     if (pread(fd_, &hdr, sizeof(hdr), 0) != sizeof(hdr) ||
         hdr.magic != kMagic || hdr.version != kVersion) {
-      ::close(fd_);
-      fd_ = -1;
-      return false;
+      return fail();
     }
     data_bytes = hdr.data_bytes;
     log_bytes = hdr.log_bytes;
   }
-  const std::size_t total = kHeaderBytes + log_bytes + data_bytes;
-  void* map = mmap(nullptr, total, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-  if (map == MAP_FAILED) {
-    ::close(fd_);
-    fd_ = -1;
-    return false;
+  // Geometry, checked before anything is mapped: a file shorter than its
+  // header claims would SIGBUS on the first touch past its end. The log
+  // must hold an empty record, the data area the allocator root line.
+  constexpr std::uint64_t kMaxFile =
+      static_cast<std::uint64_t>(std::numeric_limits<off_t>::max());
+  if (log_bytes < kRecHeader + 8 || data_bytes < kUserBase ||
+      log_bytes > kMaxFile - kHeaderBytes ||
+      data_bytes > kMaxFile - kHeaderBytes - log_bytes) {
+    return fail();
   }
+  const std::uint64_t total = kHeaderBytes + log_bytes + data_bytes;
+  if (created) {
+    if (ftruncate(fd_, static_cast<off_t>(total)) != 0) return fail();
+  } else if (static_cast<std::uint64_t>(st.st_size) < total) {
+    return fail();
+  }
+  void* map = mmap(nullptr, total, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
+  if (map == MAP_FAILED) return fail();
   backing_ = static_cast<unsigned char*>(map);
   backing_log_ = backing_ + kHeaderBytes;
   backing_data_ = backing_log_ + log_bytes;
@@ -175,13 +208,21 @@ bool DurableHeap::open(const std::string& path, const HeapOptions& opt,
     if (bytes <= log_bytes_ && seq > header()->applied_seq) {
       const std::uint64_t want = rd64(backing_log_ + bytes - 8);
       if (fnv1a(backing_log_, bytes - 8) == want) {
+        // A checksummed record with an entry outside the data area is not
+        // one this code wrote: reject the file before replaying any of it.
         for (std::uint64_t i = 0; i < count; ++i) {
           const unsigned char* e = backing_log_ + kRecHeader + kRecEntry * i;
           if (rd32(e + 20) != kKindRegion) continue;
           const std::uint64_t off = rd64(e);
           const std::uint32_t len = rd32(e + 16);
-          if (off + len > data_bytes_) fatal("redo entry out of range");
-          std::memcpy(backing_data_ + off, e + 8, len);
+          if (off > data_bytes_ || len > data_bytes_ - off || len > 8) {
+            return fail();
+          }
+        }
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const unsigned char* e = backing_log_ + kRecHeader + kRecEntry * i;
+          if (rd32(e + 20) != kKindRegion) continue;
+          std::memcpy(backing_data_ + rd64(e), e + 8, rd32(e + 16));
           ++res.replayed_entries;
         }
         header()->applied_seq = seq;
@@ -189,24 +230,41 @@ bool DurableHeap::open(const std::string& path, const HeapOptions& opt,
       }
     }
   }
+  const std::uint64_t cursor = rd64(backing_data_);
+  if (cursor < kUserBase || cursor > data_bytes_) return fail();
   next_seq_ = header()->applied_seq + 1;
-  working_log_ = static_cast<unsigned char*>(std::calloc(1, log_bytes_));
-  working_data_ = static_cast<unsigned char*>(std::malloc(data_bytes_));
-  if (working_log_ == nullptr || working_data_ == nullptr) {
-    fatal("working-copy allocation failed");
+  // Working copies are demand-zero anonymous mappings (never malloc: an
+  // allocator may hand back memory that is already resident), and only
+  // the medium's non-zero pages are copied in. pread maps no file page, so
+  // an idle data area costs neither file nor anonymous resident pages.
+  void* wl = mmap(nullptr, log_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (wl == MAP_FAILED) return fail();
+  working_log_ = static_cast<unsigned char*>(wl);
+  void* wd = mmap(nullptr, data_bytes_, PROT_READ | PROT_WRITE,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (wd == MAP_FAILED) return fail();
+  working_data_ = static_cast<unsigned char*>(wd);
+  // 4 KiB residency even where transparent huge pages are on by default:
+  // one loaded page must not fault in a 2 MiB neighbourhood of zeros.
+  madvise(wd, data_bytes_, MADV_NOHUGEPAGE);
+  if (!load_nonzero_pages(fd_, static_cast<off_t>(kHeaderBytes + log_bytes_),
+                          working_data_, data_bytes_)) {
+    return fail();
   }
-  std::memcpy(working_data_, backing_data_, data_bytes_);
   if (result != nullptr) *result = res;
   return true;
 }
 
 void DurableHeap::close() {
-  if (!is_open()) return;
+  if (fd_ < 0) return;
   if (active() == this) deactivate();
-  msync(backing_, kHeaderBytes + log_bytes_ + data_bytes_, MS_SYNC);
-  munmap(backing_, kHeaderBytes + log_bytes_ + data_bytes_);
-  std::free(working_log_);
-  std::free(working_data_);
+  if (backing_ != nullptr) {
+    msync(backing_, kHeaderBytes + log_bytes_ + data_bytes_, MS_SYNC);
+    munmap(backing_, kHeaderBytes + log_bytes_ + data_bytes_);
+  }
+  if (working_log_ != nullptr) munmap(working_log_, log_bytes_);
+  if (working_data_ != nullptr) munmap(working_data_, data_bytes_);
   backing_ = backing_log_ = backing_data_ = nullptr;
   working_log_ = working_data_ = nullptr;
   ::close(fd_);

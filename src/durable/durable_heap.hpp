@@ -5,9 +5,13 @@
 // Model. The file is [header | log area | data area]. In the default
 // simulated-PM mode the data and log areas each have a volatile WORKING
 // copy that transactions actually access; the mmap is the persistent
-// medium and only pwb() moves bytes onto it (src/durable/pwb.hpp). The STM
-// remains in-place and undo-based on the working copy — durability is
-// a commit-time concern only:
+// medium and only pwb() moves bytes onto it (src/durable/pwb.hpp). The
+// working copies are demand-zero anonymous mappings: open() checks the
+// file's geometry against its size, runs recovery, then preads the data
+// area and copies in only its non-zero pages, so the working copy is an
+// exact image of the medium that costs memory only where the medium
+// holds data. The STM remains in-place and undo-based on the working
+// copy — durability is a commit-time concern only:
 //
 //   commit:  write-back captured blocks → serialize redo entries →
 //            flush(entries) → fence → flush(commit record) → fence →
@@ -65,7 +69,9 @@ class DurableHeap {
   DurableHeap& operator=(const DurableHeap&) = delete;
 
   /// Maps (creating if absent) the heap file and runs recovery. Returns
-  /// false on I/O or format errors. Sizes are taken from the header when
+  /// false on I/O or format errors: a foreign header, a file shorter than
+  /// its header's geometry, a bump cursor outside the data area, or a
+  /// committed redo entry outside it. Sizes are taken from the header when
   /// the file already exists.
   bool open(const std::string& path, const HeapOptions& opt = {},
             OpenResult* result = nullptr);

@@ -1,5 +1,6 @@
 // Durable transaction mode: plan compilation, the DurableHeap region
-// (create/reopen persistence, transactional allocation, nested-abort
+// (create/reopen persistence, open()'s checks on the file, the
+// demand-zero working copy, transactional allocation, nested-abort
 // unwinding), and — the contribution under test — flush elision: stores
 // the capture machinery proves transaction-local never reach the redo log,
 // so a fully-captured transaction flushes nothing and capture-enabled
@@ -7,11 +8,15 @@
 // baseline on the same workload.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -53,6 +58,38 @@ std::string scratch_heap_path() {
   const char* tmpdir = std::getenv("TMPDIR");
   return std::string(tmpdir != nullptr ? tmpdir : "/tmp") + "/cstm_" +
          info->name() + "_" + std::to_string(::getpid()) + ".heap";
+}
+
+// On-disk layout the rejection tests corrupt (durable_heap.hpp): a 4 KiB
+// header {u64 magic, u32 version, u32 pad, u64 data_bytes, u64 log_bytes,
+// u64 applied_seq}, then the log area, then the data area, whose first
+// word is the bump cursor.
+constexpr off_t kHeaderBytes = 4096;
+constexpr off_t kHdrDataBytes = 16;
+constexpr off_t kHdrLogBytes = 24;
+constexpr std::uint64_t kUserBase = 64;
+
+void poke64(const std::string& path, off_t at, std::uint64_t v) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, &v, sizeof(v), at), static_cast<ssize_t>(sizeof(v)));
+  ::close(fd);
+}
+
+/// Resident pages of [lo, hi), from mincore(); lo is rounded down to its
+/// page.
+std::size_t resident_pages(const void* lo, const void* hi) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto a = reinterpret_cast<std::uintptr_t>(lo) & ~(page - 1);
+  const auto b = reinterpret_cast<std::uintptr_t>(hi);
+  std::vector<unsigned char> vec((b - a + page - 1) / page);
+  if (::mincore(reinterpret_cast<void*>(a), b - a, vec.data()) != 0) {
+    ADD_FAILURE() << "mincore failed";
+    return 0;
+  }
+  std::size_t n = 0;
+  for (const unsigned char v : vec) n += v & 1u;
+  return n;
 }
 
 class Durable : public ::testing::Test {
@@ -133,16 +170,195 @@ TEST_F(Durable, OpenRejectsForeignFile) {
   EXPECT_FALSE(heap.is_open());
 }
 
+TEST_F(Durable, OpenRejectsTruncatedFile) {
+  const dur::HeapOptions opt;  // 4 MiB log, 1 MiB data
+  {
+    dur::DurableHeap heap;
+    ASSERT_TRUE(heap.open(path_, opt));
+    heap.close();
+  }
+  // One page of the data area survives: mapping the rest would SIGBUS on
+  // the first touch past the end of the file.
+  ASSERT_EQ(::truncate(path_.c_str(), kHeaderBytes +
+                                          static_cast<off_t>(opt.log_bytes) +
+                                          4096),
+            0);
+  dur::DurableHeap heap;
+  EXPECT_FALSE(heap.open(path_));
+  EXPECT_FALSE(heap.is_open());
+  // A header whose sizes wrap or leave no room for the root line.
+  poke64(path_, kHdrDataBytes, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(heap.open(path_));
+  poke64(path_, kHdrDataBytes, kUserBase - 8);
+  EXPECT_FALSE(heap.open(path_));
+  poke64(path_, kHdrDataBytes, 4096);
+  poke64(path_, kHdrLogBytes, 8);  // no room for an empty record
+  EXPECT_FALSE(heap.open(path_));
+  EXPECT_FALSE(heap.is_open());
+  // The same file with a geometry that fits it opens.
+  poke64(path_, kHdrLogBytes, opt.log_bytes);
+  ASSERT_TRUE(heap.open(path_));
+  heap.close();
+}
+
+TEST_F(Durable, OpenRejectsCursorOutOfRange) {
+  const dur::HeapOptions opt;
+  {
+    dur::DurableHeap heap;
+    ASSERT_TRUE(heap.open(path_, opt));
+    heap.close();
+  }
+  const off_t cursor_at = kHeaderBytes + static_cast<off_t>(opt.log_bytes);
+  dur::DurableHeap heap;
+  poke64(path_, cursor_at, opt.data_bytes + 64);
+  EXPECT_FALSE(heap.open(path_));
+  poke64(path_, cursor_at, kUserBase - 8);
+  EXPECT_FALSE(heap.open(path_));
+  EXPECT_FALSE(heap.is_open());
+  // Both ends of the range are valid: a full area and an empty one.
+  poke64(path_, cursor_at, opt.data_bytes);
+  ASSERT_TRUE(heap.open(path_));
+  heap.close();
+  poke64(path_, cursor_at, kUserBase);
+  ASSERT_TRUE(heap.open(path_));
+  heap.close();
+}
+
 TEST_F(Durable, AllocExhaustionThrowsBadAlloc) {
   dur::DurableHeap heap;
   ASSERT_TRUE(heap.open(path_));
   heap.activate();
   set_global_config(TxConfig::durable_rw(AllocLogKind::kTree));
+  const std::uint64_t cursor = *static_cast<std::uint64_t*>(heap.at(0));
   EXPECT_THROW(atomic([&](Tx& tx) {
                  (void)heap.alloc(tx, heap.user_bytes() + 1);
                }),
                std::bad_alloc);
+  // The failed transaction left nothing behind: no durable commit, and the
+  // cursor on the medium is where it was.
+  EXPECT_EQ(stats_snapshot().durable_commits, 0u);
   heap.deactivate();
+  heap.close();
+
+  ASSERT_TRUE(heap.open(path_));
+  EXPECT_EQ(*static_cast<std::uint64_t*>(heap.at(0)), cursor);
+  heap.activate();
+  std::uint64_t off = 0;
+  atomic([&](Tx& tx) { off = heap.offset_of(heap.alloc(tx, 64)); });
+  EXPECT_EQ(off, cursor);
+  // No orec stayed locked: a write next to the cursor commits first time.
+  stats_reset();
+  atomic([&](Tx& tx) {
+    tm_write(tx, heap.root_slot(0), std::uint64_t{1});
+  });
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.aborts, 0u);
+  EXPECT_EQ(s.durable_commits, 1u);
+  heap.deactivate();
+  heap.close();
+}
+
+/// Writes a checksummed one-entry region record (seq 1 > watermark 0) into
+/// the log slot, so the next open() replays it.
+void write_region_record(const std::string& path, std::uint64_t where,
+                         std::uint32_t len) {
+  unsigned char rec[16 + 24 + 8] = {};
+  const std::uint64_t seq = 1;
+  const std::uint32_t count = 1;
+  const std::uint64_t value = 0x1122334455667788ull;
+  const std::uint32_t kind = 1;
+  std::memcpy(rec, &seq, 8);
+  std::memcpy(rec + 8, &count, 4);
+  std::memcpy(rec + 16, &where, 8);
+  std::memcpy(rec + 24, &value, 8);
+  std::memcpy(rec + 32, &len, 4);
+  std::memcpy(rec + 36, &kind, 4);
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a, as commit_tx
+  for (std::size_t i = 0; i < 40; ++i) {
+    h ^= rec[i];
+    h *= 1099511628211ull;
+  }
+  std::memcpy(rec + 40, &h, 8);
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::pwrite(fd, rec, sizeof(rec), kHeaderBytes),
+            static_cast<ssize_t>(sizeof(rec)));
+  ::close(fd);
+}
+
+TEST_F(Durable, OpenRejectsOutOfRangeRedoEntry) {
+  const dur::HeapOptions opt;
+  {
+    dur::DurableHeap heap;
+    ASSERT_TRUE(heap.open(path_, opt));
+    heap.close();
+  }
+  struct Entry {
+    std::uint64_t where;
+    std::uint32_t len;
+  };
+  const Entry bad[] = {
+      {opt.data_bytes - 4, 8},                              // runs past the end
+      {std::numeric_limits<std::uint64_t>::max() - 3, 8},   // off + len wraps
+      {kUserBase, 16},                                      // wider than a word
+  };
+  dur::DurableHeap heap;
+  for (const Entry& e : bad) {
+    write_region_record(path_, e.where, e.len);
+    EXPECT_FALSE(heap.open(path_)) << "where=" << e.where << " len=" << e.len;
+    EXPECT_FALSE(heap.is_open());
+  }
+  // The same record in range replays.
+  write_region_record(path_, kUserBase, 8);
+  dur::OpenResult res;
+  ASSERT_TRUE(heap.open(path_, opt, &res));
+  EXPECT_TRUE(res.replayed_commit);
+  EXPECT_EQ(res.replayed_entries, 1u);
+  EXPECT_EQ(*static_cast<std::uint64_t*>(heap.data()), 0x1122334455667788ull);
+  heap.close();
+}
+
+// -- Demand-zero working copy -------------------------------------------------
+
+TEST_F(Durable, FreshHeapWorkingCopyIsNotResident) {
+  dur::HeapOptions opt;
+  opt.data_bytes = std::size_t{16} << 20;
+  for (int round = 0; round < 2; ++round) {  // create, then reopen
+    dur::DurableHeap heap;
+    ASSERT_TRUE(heap.open(path_, opt));
+    auto* lo = static_cast<unsigned char*>(heap.data());
+    // Only the root line's page (the bump cursor) holds data.
+    EXPECT_LE(resident_pages(lo, lo + heap.user_bytes()), 2u)
+        << (round == 0 ? "fresh heap" : "reopened heap");
+    heap.close();
+  }
+}
+
+TEST_F(Durable, ReopenLoadsOnlyNonZeroPages) {
+  dur::HeapOptions opt;
+  opt.data_bytes = std::size_t{16} << 20;
+  const std::uint64_t kLast = 0xFEEDFACECAFEBEEFull;
+  {
+    dur::DurableHeap heap;
+    ASSERT_TRUE(heap.open(path_, opt));
+    heap.activate();
+    set_global_config(TxConfig::durable_baseline());
+    auto* last = reinterpret_cast<std::uint64_t*>(
+        static_cast<unsigned char*>(heap.data()) + heap.user_bytes() - 8);
+    atomic([&](Tx& tx) { tm_write(tx, last, kLast); });
+    heap.deactivate();
+    heap.close();
+  }
+  dur::DurableHeap heap;
+  ASSERT_TRUE(heap.open(path_, opt));
+  auto* base = static_cast<unsigned char*>(heap.at(0));
+  auto* end = static_cast<unsigned char*>(heap.data()) + heap.user_bytes();
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  // Every page between the root line and the last one stayed on the medium.
+  EXPECT_EQ(resident_pages(base + page, end - page), 0u);
+  std::uint64_t got = 0;
+  std::memcpy(&got, end - 8, 8);
+  EXPECT_EQ(got, kLast);
   heap.close();
 }
 

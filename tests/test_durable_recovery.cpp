@@ -24,7 +24,9 @@
 // txbatch merged batch with one compensated op. A fourth scenario crashes
 // the SECOND of two transactions to prove single-slot log reuse: the
 // first transaction's stale-but-valid record must never replay over the
-// watermark.
+// watermark. A last case reopens after a crash that left a captured block
+// on the medium past the cursor: open() must load that garbage exactly,
+// and the next allocation over it must still come back zeroed.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -314,6 +316,38 @@ TEST_F(DurableRecovery, SingleSlotLogReuseNeverReplaysStaleRecord) {
   const std::uint64_t d_tx2 = reference_digest("reuse_tx2", kReuse, 2);
   ASSERT_NE(d_tx1, d_tx2);
   run_all_points("reuse", kReuse, 1, d_tx1, d_tx2);
+}
+
+TEST_F(DurableRecovery, GarbagePastCursorReloadsExactlyAndAllocZeroes) {
+  // A crash after the captured write-back leaves the victim's block on the
+  // medium past the (uncommitted) cursor. Reopening must load it byte for
+  // byte — the working copy is an exact image of the medium — and the
+  // next allocation, which lands on the same bytes, must still be zeroed.
+  const std::string path = scratch_path("garbage");
+  std::remove(path.c_str());
+  setup(path);
+  (void)crash_and_recover(path, kSingle,
+                          dur::CrashPoint::kAfterCapturedWriteback, 0);
+  dur::DurableHeap heap;
+  ASSERT_TRUE(heap.open(path));
+  const std::uint64_t cursor = *static_cast<std::uint64_t*>(heap.at(0));
+  EXPECT_EQ(*heap.root_slot(1), 0u);  // the block was never published
+  auto* garbage = static_cast<std::uint64_t*>(heap.at(cursor));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(garbage[i], std::uint64_t(0xC00 + i)) << "word " << i;
+  }
+  heap.activate();
+  set_global_config(TxConfig::durable_rw(kLog));
+  atomic([&](Tx& tx) {
+    auto* p = static_cast<std::uint64_t*>(heap.alloc(tx, 64));
+    EXPECT_EQ(heap.offset_of(p), cursor);
+    for (int i = 0; i < 8; ++i) {
+      EXPECT_EQ(tm_read(tx, &p[i]), 0u) << "word " << i;
+    }
+  });
+  heap.deactivate();
+  heap.close();
+  std::remove(path.c_str());
 }
 
 }  // namespace
