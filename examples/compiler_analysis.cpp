@@ -1,8 +1,7 @@
 // Static capture analysis demo: builds the paper's Figure 1 code patterns
-// (and the STAMP kernels that ride on them) in txir, runs the
-// flow-sensitive interprocedural analysis with and without inlining, and
-// prints the verdict of every STM barrier plus the per-kernel
-// proven/demoted elision table the harness reports.
+// (and the STAMP kernels that ride on them) in txir, inlines each entry's
+// calls and runs the flow-sensitive analysis, and prints the verdict of
+// every STM barrier plus the per-kernel proven/demoted elision table.
 #include <cstdio>
 
 #include "txir/capture_analysis.hpp"
@@ -20,27 +19,25 @@ int main() {
                            "vacation_reserve", "genome_dedup_insert",
                            "vector_grow_push"};
   for (const char* entry : entries) {
-    for (const int depth : {0, 2}) {
-      const AnalysisResult result = analyze(program, entry, depth);
-      std::printf("%s (inline depth %d):\n", entry, depth);
-      for (const AccessVerdict& b : result.barriers) {
-        std::printf("  %-6s %-28s -> %-8s%s\n", b.is_store ? "store" : "load",
-                    b.site.c_str(), cstm::verdict_name(b.verdict),
-                    b.elidable()   ? " (ELIDED)"
-                    : b.demoted    ? " (demoted: keep barrier)"
-                                   : " (keep barrier)");
-      }
-      std::printf("  summary: %zu/%zu loads, %zu/%zu stores elided\n\n",
-                  result.elided(false), result.total(false),
-                  result.elided(true), result.total(true));
+    const AnalysisResult result = analyze(program, entry);
+    std::printf("%s:\n", entry);
+    for (const AccessVerdict& b : result.barriers) {
+      std::printf("  %-6s %-28s -> %-8s%s\n", b.is_store ? "store" : "load",
+                  b.site.c_str(), cstm::verdict_name(b.verdict),
+                  b.elidable()   ? " (ELIDED)"
+                  : b.demoted    ? " (demoted: keep barrier)"
+                                 : " (keep barrier)");
     }
+    std::printf("  elided: %zu/%zu loads, %zu/%zu stores\n\n",
+                result.elided(false), result.total(false),
+                result.elided(true), result.total(true));
   }
 
-  std::printf("per-kernel analysis precision (inline depth 2):\n%s\n",
+  std::printf("per-kernel analysis precision:\n%s\n",
               kernel_report_table().c_str());
 
   std::printf("IR of vector_grow_push after inlining the vector allocator:\n");
   const Function* f = program.find("vector_grow_push");
-  std::printf("%s\n", to_string(inline_calls(program, *f, 2)).c_str());
+  std::printf("%s\n", to_string(inline_calls(program, *f)).c_str());
   return 0;
 }

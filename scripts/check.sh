@@ -55,7 +55,7 @@ echo "== cross-config differential torture (explicit) =="
 ./build/test_differential --gtest_brief=1
 
 echo "== static capture analysis: per-kernel elision table =="
-./build/example_compiler_analysis | sed -n '/per-kernel analysis precision/,/^$/p'
+./build/txir_sitegen --report
 
 echo "== bench regression gate (advisory unless -s) =="
 if command -v python3 > /dev/null 2>&1; then

@@ -13,6 +13,11 @@
 #                           layer (tvar.hpp's derived init Sites), barriers
 #   tests/, bench/        — may build ad-hoc Sites to probe the runtime
 #
+# It also keeps the analysis out of the runtime: no file in src/ outside
+# src/txir/, and no example but compiler_analysis.cpp, may include a
+# txir/ header (the cstm_txir library is linked only by txir_sitegen, its
+# two test suites and that example).
+#
 # Registered as the ctest case `site_verdict_boundary` and run by check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,11 +48,22 @@ if matches=$(grep -rn 'constexpr Site ' "${paths[@]}"); then
   fail=1
 fi
 
+txir_fail=0
+if matches=$(grep -rn '#include "txir/' "${paths[@]}" src/stm |
+             grep -v '^examples/compiler_analysis\.cpp:'); then
+  echo "error: txir/ included outside src/txir/ and the analysis example" >&2
+  echo "(the runtime and the harness link no TxIR):" >&2
+  echo "$matches" >&2
+  txir_fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "Site constants/verdicts belong in generated/site_verdicts.hpp —" >&2
   echo "add a row to src/txir/site_table.cpp and regenerate:" >&2
   echo "  cmake --build build --target sitegen" >&2
   exit 1
 fi
+[ "$txir_fail" -eq 0 ] || exit 1
 
-echo "site-verdict boundary clean: all Site verdicts come from generated/"
+echo "site-verdict boundary clean: all Site verdicts come from generated/,"
+echo "and only src/txir/ and the analysis example include txir/"

@@ -17,7 +17,6 @@
 
 #include "durable/durable_heap.hpp"
 #include "stm/stm.hpp"
-#include "txir/kernels.hpp"
 
 namespace cstm::harness {
 
@@ -328,13 +327,7 @@ void speedup_table(
 
 }  // namespace
 
-void analysis_stats() {
-  std::printf("# Static capture analysis precision (txir kernels, inline depth 2)\n");
-  std::printf("%s", txir::kernel_report_table().c_str());
-}
-
 void fig8_breakdown(const Options& opt) {
-  analysis_stats();
   std::vector<Cell> cells;
   for (const auto& app : selected_apps(opt)) {
     cells.push_back({app, "counting", TxConfig::counting(), 1});
@@ -370,7 +363,6 @@ void fig8_breakdown(const Options& opt) {
 }
 
 void fig9_removed(const Options& opt) {
-  analysis_stats();
   const std::vector<std::pair<std::string, TxConfig>> techniques =
       removal_techniques();
   std::vector<Cell> cells;
@@ -398,7 +390,6 @@ void fig9_removed(const Options& opt) {
 }
 
 void fig10_single_thread(const Options& opt) {
-  analysis_stats();
   std::printf("# Figure 10: performance improvement over baseline at 1 thread\n");
   std::printf("# positive = faster than baseline, negative = runtime-check overhead\n");
   speedup_table("fig10", opt, 1,

@@ -1,6 +1,8 @@
 // Experiment driver: runs the STAMP applications under the paper's STM
 // configurations and prints each table/figure of Section 4. One bench
-// binary per experiment calls exactly one of these printers.
+// binary per experiment calls exactly one of these printers. The harness
+// links no TxIR: the static analysis' precision table comes from
+// `txir_sitegen --report`.
 //
 // Every experiment is a list of cells, all measured by one function rep by
 // rep, in an order shuffled from --seed. Each printer computes its
@@ -61,13 +63,6 @@ RunResult run_once(const std::string& app, int threads, const TxConfig& cfg,
                    const Options& opt, std::size_t batch = 0);
 
 // -- Experiment printers (paper Section 4) -----------------------------------
-
-/// Static-analysis precision header: the per-kernel "sites total / proven /
-/// demoted" table from the txir pipeline (src/txir/kernels.hpp). Printed at
-/// the top of the figure-8/9/10 experiments so every elision figure carries
-/// the compiler-elision ratios it depends on, and by scripts/check.sh so
-/// analysis-precision regressions are visible in every CI run.
-void analysis_stats();
 
 void fig8_breakdown(const Options& opt);        // Figure 8 (a, b, c)
 void fig9_removed(const Options& opt);          // Figure 9 (a, b)

@@ -14,13 +14,12 @@ namespace {
 // ---------------------------------------------------------------------------
 // Abstract values
 // ---------------------------------------------------------------------------
-// A value is a capture class plus provenance bitsets: `sites` names the
-// allocation instructions (txalloc/alloca_tx/fresh-returning calls) the
-// pointer may point into, `params` names the formal parameters it may be a
-// copy of (summary mode only). `sites` survives joins to kUnknown so
-// demotion accounting can tell "lost the proof" from "never had one".
-// `pub` marks values pessimized by site-bitset overflow: with no bit to
-// track publication, the value is treated as always-published (sound).
+// A value is a capture class plus a provenance bitset: `sites` names the
+// allocation instructions (txalloc/alloca_tx) the pointer may point into.
+// `sites` survives joins to kUnknown so demotion accounting can tell "lost
+// the proof" from "never had one". `pub` marks values pessimized by
+// site-bitset overflow: with no bit to track publication, the value is
+// treated as always-published (sound).
 
 struct AV {
   enum class Cls : std::uint8_t {
@@ -29,23 +28,20 @@ struct AV {
     kStack,
     kStatic,
     kPrivate,
-    kParam,  // summary mode: a copy of a formal parameter
     kUnknown,
   };
   Cls cls = Cls::kBottom;
   std::uint64_t sites = 0;
-  std::uint64_t params = 0;
   bool pub = false;
 
   bool operator==(const AV&) const = default;
 };
 
-AV make_unknown() { return AV{AV::Cls::kUnknown, 0, 0, false}; }
+AV make_unknown() { return AV{AV::Cls::kUnknown, 0, false}; }
 
 AV join(const AV& x, const AV& y) {
   AV r;
   r.sites = x.sites | y.sites;
-  r.params = x.params | y.params;
   r.pub = x.pub || y.pub;
   if (x.cls == y.cls) {
     r.cls = x.cls;
@@ -62,30 +58,6 @@ AV join(const AV& x, const AV& y) {
 bool tracked(AV::Cls c) {
   return c == AV::Cls::kCaptured || c == AV::Cls::kStack;
 }
-
-// ---------------------------------------------------------------------------
-// Function summaries (interprocedural mode)
-// ---------------------------------------------------------------------------
-
-struct Summary {
-  enum class Ret : std::uint8_t {
-    kUnknown = 0,
-    kFresh,   // a new, unpublished transaction-local heap object
-    kParam,   // pass-through of parameter `ret_param`
-    kStatic,
-    kPrivate,
-  };
-  Ret ret = Ret::kUnknown;
-  std::size_t ret_param = 0;
-  std::uint64_t publishes = ~std::uint64_t{0};  // param bitmask (opaque: all)
-  /// The callee may store through pointers it did not allocate itself —
-  /// including pointers loaded out of its arguments' memory — so the
-  /// caller must invalidate every field cell reachable from the call's
-  /// arguments. False only for provably read-only callees.
-  bool writes_reachable = true;
-};
-
-using SummaryCache = std::unordered_map<std::string, Summary>;
 
 constexpr int kMaxSites = 64;  // provenance bitset width; overflow degrades
                                // to an always-demoted (pub) value — sound
@@ -173,19 +145,13 @@ struct State {
 
 class Engine {
  public:
-  Engine(const Function& f, const Program* prog, SummaryCache* cache,
-         bool param_markers)
-      : f_(f), cfg_(build_cfg(f)), prog_(prog), cache_(cache) {
+  explicit Engine(const Function& f) : f_(f), cfg_(build_cfg(f)) {
     State entry_in;
     entry_in.initialized = true;  // seeded below; a loop edge back to the
                                   // entry block must JOIN, never overwrite
     entry_in.env.assign(static_cast<std::size_t>(f.next_value), AV{});
-    for (std::size_t i = 0; i < f.params.size(); ++i) {
-      const auto p = static_cast<std::size_t>(f.params[i]);
-      entry_in.env[p] = param_markers && i < 64
-                            ? AV{AV::Cls::kParam, 0, std::uint64_t{1} << i,
-                                 false}
-                            : make_unknown();
+    for (ValueId p : f.params) {
+      entry_in.env[static_cast<std::size_t>(p)] = make_unknown();
     }
     in_.assign(f.blocks.size(), State{});
     for (State& s : in_) {
@@ -231,42 +197,6 @@ class Engine {
     return res;
   }
 
-  Summary summarize() const {
-    Summary s;
-    s.publishes = published_params_;
-    s.writes_reachable = wrote_foreign_target_;
-    if (!ret_seen_) return s;
-    const AV& r = ret_av_;
-    switch (r.cls) {
-      case AV::Cls::kCaptured:
-        if (!r.pub && (r.sites & ret_published_) == 0) {
-          s.ret = Summary::Ret::kFresh;
-        }
-        break;
-      case AV::Cls::kParam:
-        // Single-parameter pass-through only; a may-be-either value is
-        // opaque to the caller.
-        if (r.params != 0 && (r.params & (r.params - 1)) == 0) {
-          s.ret = Summary::Ret::kParam;
-          std::uint64_t m = r.params;
-          while ((m & 1) == 0) {
-            m >>= 1;
-            ++s.ret_param;
-          }
-        }
-        break;
-      case AV::Cls::kStatic:
-        s.ret = Summary::Ret::kStatic;
-        break;
-      case AV::Cls::kPrivate:
-        s.ret = Summary::Ret::kPrivate;
-        break;
-      default:
-        break;
-    }
-    return s;
-  }
-
  private:
   template <typename Fn>
   static void for_each_edge(const BasicBlock& bb, Fn&& fn) {
@@ -297,7 +227,7 @@ class Engine {
     const std::uint64_t bit = site_bit(def);
     // Site-id overflow: no bit to track publication with, so pessimize the
     // value to always-demoted instead of risking a missed publication.
-    return AV{cls, bit, 0, bit == 0};
+    return AV{cls, bit, bit == 0};
   }
 
   static AV operand(const State& st, ValueId v) {
@@ -312,38 +242,12 @@ class Engine {
            (base.sites & st.published) == 0;
   }
 
-  /// Marks every site the value may point into as published, transitively
-  /// publishing whatever was stored inside those sites, and records
-  /// escaping parameters.
-  void publish_value(const AV& v, State& st) {
-    published_params_ |= v.params;
-    std::uint64_t frontier = v.sites & ~st.published;
-    while (frontier != 0) {
-      st.published |= frontier;
-      std::uint64_t next = 0;
-      for (const auto& [key, cell] : st.cells) {
-        if ((std::uint64_t{1} << key.first) & frontier) {
-          next |= cell.sites & ~st.published;
-          published_params_ |= cell.params;
-        }
-      }
-      frontier = next;
-    }
-  }
-
-  static void cell_join(State& st, int site, std::int64_t off, const AV& v) {
-    AV& cell = st.cells[{site, off}];
-    cell = join(cell, v);
-  }
-
-  /// A callee that writes through foreign pointers may overwrite any field
-  /// of memory REACHABLE from its pointer arguments — it can load a stored
-  /// pointer out of an argument's object and store through it — so the
-  /// clobber closes over the field cells the same way publish_value does.
-  /// Joining with unknown keeps each cell's provenance sites (the join
-  /// unions them), so reachability is preserved for later closures.
-  static void clobber_reachable_cells(State& st, std::uint64_t sites) {
-    std::uint64_t reach = sites;
+  /// Marks every site the value may point into as published, with every
+  /// site reachable from them through stored pointers. Already-published
+  /// sites are walked too: a merge can leave one holding a pointer that
+  /// the path which did not publish it stored there.
+  static void publish_value(const AV& v, State& st) {
+    std::uint64_t reach = v.sites;
     for (;;) {
       std::uint64_t next = reach;
       for (const auto& [key, cell] : st.cells) {
@@ -352,10 +256,12 @@ class Engine {
       if (next == reach) break;
       reach = next;
     }
-    for (auto& [key, cell] : st.cells) {
-      if (((std::uint64_t{1} << key.first) & reach) == 0) continue;
-      cell = join(cell, make_unknown());
-    }
+    st.published |= reach;
+  }
+
+  static void cell_join(State& st, int site, std::int64_t off, const AV& v) {
+    AV& cell = st.cells[{site, off}];
+    cell = join(cell, v);
   }
 
   static AccessVerdict access_verdict(const Instr& ins, const AV& base,
@@ -389,21 +295,6 @@ class Engine {
     return a;
   }
 
-  Summary summary_of(const std::string& callee) {
-    if (prog_ == nullptr || cache_ == nullptr) return Summary{};
-    if (auto it = cache_->find(callee); it != cache_->end()) return it->second;
-    const Function* fn = prog_->find(callee);
-    if (fn == nullptr || fn->blocks.empty()) return Summary{};
-    // Park the opaque summary first so recursion degrades instead of
-    // looping.
-    cache_->emplace(callee, Summary{});
-    Engine sub(*fn, prog_, cache_, /*param_markers=*/true);
-    sub.run();
-    const Summary s = sub.summarize();
-    (*cache_)[callee] = s;
-    return s;
-  }
-
   /// Abstract execution of one block from state @p in; returns the OUT
   /// state. With @p record set, appends one AccessVerdict per load/store.
   State exec_block(BlockId b, const State& in,
@@ -423,10 +314,10 @@ class Engine {
           set_env(st, ins.dst, make_unknown());
           break;
         case Op::kStaticAddr:
-          set_env(st, ins.dst, AV{AV::Cls::kStatic, 0, 0, false});
+          set_env(st, ins.dst, AV{AV::Cls::kStatic, 0, false});
           break;
         case Op::kPrivAddr:
-          set_env(st, ins.dst, AV{AV::Cls::kPrivate, 0, 0, false});
+          set_env(st, ins.dst, AV{AV::Cls::kPrivate, 0, false});
           break;
         case Op::kGep:
         case Op::kMove:
@@ -460,9 +351,6 @@ class Engine {
             record->push_back(access_verdict(ins, base, st));
           }
           if (base.cls == AV::Cls::kBottom) break;  // unreachable so far
-          // A stored parameter may end up reachable from the caller (via
-          // shared memory or a returned object): treat it as escaping.
-          published_params_ |= val.params;
           if (private_target(base, st)) {
             for (int s = 0; s < kMaxSites; ++s) {
               if ((base.sites & (std::uint64_t{1} << s)) != 0) {
@@ -470,9 +358,6 @@ class Engine {
               }
             }
           } else if (val.cls != AV::Cls::kBottom) {
-            // The target is not provably this function's own tx-local
-            // memory (summaries report this to callers as writes_reachable).
-            wrote_foreign_target_ = true;
             // The stored pointer may become shared: published.
             publish_value(val, st);
             // A mixed-provenance base (merge of captured and shared) may
@@ -486,51 +371,16 @@ class Engine {
           }
           break;
         }
-        case Op::kCall: {
-          const Function* callee =
-              prog_ != nullptr ? prog_->find(ins.callee) : nullptr;
-          Summary s;  // default: opaque (publishes everything)
-          if (callee != nullptr) s = summary_of(ins.callee);
-          if (s.writes_reachable) wrote_foreign_target_ = true;
-          AV result = make_unknown();
-          for (std::size_t j = 0; j < ins.args.size(); ++j) {
-            const AV arg = operand(st, ins.args[j]);
-            if (arg.cls == AV::Cls::kBottom) continue;
-            // Arguments past the bitmask width are treated as opaque:
-            // always published.
-            if (j >= 64 || (s.publishes & (std::uint64_t{1} << j)) != 0) {
-              publish_value(arg, st);
-            }
-            published_params_ |= arg.params;  // callee may store it anywhere
-            if (s.writes_reachable) clobber_reachable_cells(st, arg.sites);
-          }
-          switch (s.ret) {
-            case Summary::Ret::kFresh:
-              result = alloc_value(AV::Cls::kCaptured, ins.dst);
-              break;
-            case Summary::Ret::kParam:
-              if (s.ret_param < ins.args.size()) {
-                result = operand(st, ins.args[s.ret_param]);
-              }
-              break;
-            case Summary::Ret::kStatic:
-              result = AV{AV::Cls::kStatic, 0, 0, false};
-              break;
-            case Summary::Ret::kPrivate:
-              result = AV{AV::Cls::kPrivate, 0, 0, false};
-              break;
-            case Summary::Ret::kUnknown:
-              break;
-          }
-          set_env(st, ins.dst, result);
+        case Op::kCall:
+          // A call left after inlining is opaque: the callee may publish
+          // every argument. It may also store through pointers it loads
+          // out of them, but every cell it could reach belongs to a site
+          // published here, and a load through a published site never
+          // reads a cell — so the writes need no rule of their own.
+          for (ValueId a : ins.args) publish_value(operand(st, a), st);
+          set_env(st, ins.dst, make_unknown());
           break;
-        }
       }
-    }
-    if (bb.term.op == TermOp::kRet) {
-      ret_seen_ = true;
-      ret_av_ = join(ret_av_, operand(st, bb.term.ret));
-      ret_published_ |= st.published;
     }
     return st;
   }
@@ -545,17 +395,8 @@ class Engine {
 
   const Function& f_;
   const Cfg cfg_;
-  const Program* prog_;
-  SummaryCache* cache_;
   std::vector<State> in_;
   std::unordered_map<ValueId, std::size_t> site_ids_;
-  std::uint64_t published_params_ = 0;
-  /// Stored through a pointer that is not provably this function's own
-  /// unpublished tx-local memory (or called something that may have).
-  bool wrote_foreign_target_ = false;
-  AV ret_av_;
-  std::uint64_t ret_published_ = 0;
-  bool ret_seen_ = false;
 };
 
 }  // namespace
@@ -618,25 +459,15 @@ AnalysisStats AnalysisResult::stats() const {
 
 AnalysisResult analyze(const Function& f) {
   if (f.blocks.empty()) return AnalysisResult{};
-  Engine e(f, nullptr, nullptr, /*param_markers=*/false);
+  Engine e(f);
   e.run();
   return e.result();
 }
 
-AnalysisResult analyze(const Program& p, const std::string& entry,
-                       int inline_depth) {
+AnalysisResult analyze(const Program& p, const std::string& entry) {
   const Function* f = p.find(entry);
-  if (f == nullptr || f->blocks.empty()) return AnalysisResult{};
-  SummaryCache cache;
-  if (inline_depth > 0) {
-    const Function inlined = inline_calls(p, *f, inline_depth);
-    Engine e(inlined, &p, &cache, /*param_markers=*/false);
-    e.run();
-    return e.result();
-  }
-  Engine e(*f, &p, &cache, /*param_markers=*/false);
-  e.run();
-  return e.result();
+  if (f == nullptr) return AnalysisResult{};
+  return analyze(inline_calls(p, *f));
 }
 
 }  // namespace cstm::txir

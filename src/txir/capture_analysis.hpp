@@ -2,7 +2,10 @@
 // paper's flow-insensitive two-point analysis into the pipeline that feeds
 // the typed API's Site verdicts).
 //
-// The analysis is flow- and path-sensitive and interprocedural: a worklist
+// Like the paper's compiler, the analysis is intraprocedural and sees
+// across calls only by inlining: known callees are spliced into the entry
+// function (kInlineDepth levels, ir.hpp), and every call left after that
+// is opaque. The analysis is flow- and path-sensitive: a worklist
 // dataflow over the function's basic blocks. Each block has an IN abstract
 // state (per-value abstract pointers, per-allocation-site field cells, and
 // the set of allocation sites that may already be published on some path
@@ -38,10 +41,10 @@
 // has no fallback when the proof is wrong):
 //
 //  * Publication: storing a captured pointer into memory that may be
-//    shared (an unknown base, an already-published object, an opaque call
-//    argument, a callee-published parameter) publishes the allocation site
-//    — transitively through anything stored inside it — and every access
-//    through it *after* that program point is demoted to kUnknown. The
+//    shared (an unknown base, an already-published object) or passing it
+//    to an opaque call publishes the allocation site — transitively
+//    through anything stored inside it — and every access through it
+//    *after* that program point is demoted to kUnknown. The
 //    runtime filters (alloc log, stack range) keep eliding such accesses;
 //    only the static proof is withdrawn. Flow-sensitivity is what keeps
 //    the common STAMP shape (initialize fields, then link) fully proven:
@@ -52,12 +55,11 @@
 //    memory is opaque (the bits could be any pointer). Loads from
 //    *unpublished* captured memory return the join of everything stored
 //    into that site's field.
-//  * Calls: unknown callees may publish every pointer argument. Known
-//    callees are either inlined (analyze with inline_depth > 0) or
-//    summarized: the summary records which parameters the callee may
-//    publish and whether the return value is a fresh capture, a parameter
-//    pass-through, static, or private. Recursion degrades to the opaque
-//    summary.
+//  * Calls: a call that inlining left in place (unknown callee,
+//    recursion, or deeper than kInlineDepth) is opaque. It publishes every
+//    argument with everything reachable from it, which also covers the
+//    callee storing through pointers it loads out of them (no load reads
+//    a published site's fields), and returns an unknown value.
 //
 // Accesses whose pointer had captured/stack provenance but lost the proof
 // to one of these rules are reported as "demoted" — the analysis-precision
@@ -126,14 +128,12 @@ struct AnalysisResult {
   }
 };
 
-/// Analyzes a single function with no program context: every call is
-/// opaque (publishes its pointer arguments, returns unknown).
+/// Analyzes a single function as written: every call is opaque.
 AnalysisResult analyze(const Function& f);
 
-/// Inlines known callees up to @p inline_depth, then analyzes; calls that
-/// remain (depth exhausted, or depth 0) are resolved through function
-/// summaries when the callee is known, and treated as opaque otherwise.
-AnalysisResult analyze(const Program& p, const std::string& entry,
-                       int inline_depth);
+/// analyze(inline_calls(p, entry)): the paper's configuration, and the one
+/// the generated Site verdicts come from. An entry not in @p p yields an
+/// empty result.
+AnalysisResult analyze(const Program& p, const std::string& entry);
 
 }  // namespace cstm::txir

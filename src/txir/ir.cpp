@@ -438,8 +438,7 @@ class Inliner {
 
 }  // namespace
 
-Function inline_calls(const Program& program, const Function& entry,
-                      int depth) {
+Function inline_calls(const Program& program, const Function& entry) {
   Function out;
   out.name = entry.name + ".inlined";
   std::vector<ValueId> vmap(static_cast<std::size_t>(entry.next_value),
@@ -449,7 +448,7 @@ Function inline_calls(const Program& program, const Function& entry,
     out.params.push_back(np);
     vmap[static_cast<std::size_t>(p)] = np;
   }
-  Inliner(program, out).copy_function(entry, vmap, kNoBlock, depth);
+  Inliner(program, out).copy_function(entry, vmap, kNoBlock, kInlineDepth);
   return out;
 }
 

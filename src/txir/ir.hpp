@@ -20,7 +20,7 @@
 //     %7 = load %1+8            ; memory read  (site of a barrier)
 //     store %1+8, %7            ; memory write (site of a barrier)
 //     %8 = move %7              ; copy
-//     %9 = call foo, %1, %2     ; call; may be inlined or summarized if known
+//     %9 = call foo, %1, %2     ; call; inlined if foo is known, else opaque
 //     %10 = unknown             ; opaque value (e.g. loaded from memory)
 //     br_cond %10, bb1(%1), bb2(%2)
 //   bb1(%11):                   ; block argument = phi over predecessors
@@ -248,7 +248,9 @@ class FunctionBuilder {
 
 /// Derived CFG facts: successor/predecessor lists, a reverse postorder of
 /// the reachable blocks, immediate dominators (Cooper-Harvey-Kennedy), and
-/// the edge classification the analysis' loop handling is built on.
+/// a back-edge/retreating-edge classification. The analysis engine reads
+/// only `rpo`, `rpo_index` and reachable(); the verifier uses dominance,
+/// and the edge lists describe loop shape for the tests.
 struct Cfg {
   std::vector<std::vector<BlockId>> succs;
   std::vector<std::vector<BlockId>> preds;
@@ -286,11 +288,17 @@ Cfg build_cfg(const Function& f);
 /// predecessor).
 std::vector<std::string> verify(const Function& f);
 
+/// How many levels of calls inline_calls splices: the paper's compiler
+/// "relies on function inlining to extend the analysis results across
+/// function calls", and two levels reach every helper in the kernel corpus.
+inline constexpr int kInlineDepth = 2;
+
 /// Returns a copy of @p entry with calls to functions known in @p program
 /// substituted (CFG spliced, value-renamed, rets rewired to a continuation
-/// block) up to @p depth levels. Remaining calls stay opaque — exactly the
-/// paper's "intraprocedural analysis + inlining".
-Function inline_calls(const Program& program, const Function& entry, int depth);
+/// block) up to kInlineDepth levels. Remaining calls (unknown callees,
+/// recursion, and calls past the depth) stay opaque — exactly the paper's
+/// "intraprocedural analysis + inlining".
+Function inline_calls(const Program& program, const Function& entry);
 
 /// Human-readable dump (diagnostics and golden tests).
 std::string to_string(const Function& f);

@@ -7,10 +7,10 @@ namespace cstm::txir {
 Program stamp_kernels() {
   Program p;
 
-  // ==== Helpers (inlinable and summarizable) ================================
+  // ==== Helpers (inlined into their callers) ================================
 
-  // PVECTOR_ALLOC-style allocator wrapper: returns a fresh capture. The
-  // summary proves callers' uses captured even at inline depth 0.
+  // PVECTOR_ALLOC-style allocator wrapper: returns a fresh capture. Once
+  // inlined, the caller's uses of the result are proven captured.
   {
     Function& f = p.add("pvector_alloc");
     FunctionBuilder b(f);
@@ -21,7 +21,7 @@ Program stamp_kernels() {
   }
 
   // Read-only tree probe: loads through its parameters but never stores
-  // them anywhere — the summary publishes nothing, so callers keep their
+  // them anywhere — inlined, it publishes nothing, so callers keep their
   // capture proofs across the call.
   {
     Function& f = p.add("table_find");
@@ -34,8 +34,9 @@ Program stamp_kernels() {
     b.ret(node);
   }
 
-  // Publishing helper: stores its second parameter through the first. The
-  // summary records "publishes param 1" and callers demote accordingly.
+  // Publishing helper: stores its second parameter through the first.
+  // Inlined, the store publishes the caller's object and later accesses
+  // demote.
   {
     Function& f = p.add("publish_to");
     FunctionBuilder b(f);
@@ -229,7 +230,7 @@ Program stamp_kernels() {
   // The real grow BRANCH plus the copy LOOP. Fast path: store the element
   // through the loaded data pointer (shared — the runtime handles it).
   // Grow path: the new backing store comes from an allocator helper
-  // (provable both by summary at depth 0 and by inlining); the element
+  // (proven captured once inlined); the element
   // copy advances a cursor around a back-edge — a loop-carried pointer
   // into memory that is published only AFTER the loop exits. The old
   // linear IR's phi-back-edge rule had to demote every loop-carried store
@@ -351,9 +352,9 @@ Program stamp_kernels() {
     b.ret();
   }
 
-  // escape_via_call: the publishing helper's summary makes the escape
-  // visible without inlining; accesses before the call stay proven,
-  // accesses after it demote.
+  // escape_via_call: the inlined publishing helper makes the escape
+  // visible; accesses before the call stay proven, accesses after it
+  // demote.
   {
     Function& f = p.add("escape_via_call");
     FunctionBuilder b(f);
@@ -365,7 +366,7 @@ Program stamp_kernels() {
     b.ret();
   }
 
-  // no_escape_call: same shape, but the callee only reads — the summary
+  // no_escape_call: same shape, but the callee only reads — inlining
   // proves the capture survives the call (precision the opaque rule would
   // throw away).
   {
@@ -436,20 +437,17 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
   using V = Verdict;
   return {
       {"list_insert",
-       0,
        {{"list.node.init.value", V::kCaptured, true, false},
         {"list.node.init.next", V::kCaptured, true, false},
         {"list.head.read", V::kUnknown, false, false},
         {"list.link", V::kUnknown, false, false}}},
       {"iter_loop",
-       0,
        {{"iter.init", V::kStack, true, false},
         {"iter.cur.read", V::kStack, true, false},
         {"iter.advance", V::kStack, true, false},
         {"iter.list.head", V::kUnknown, false, false},
         {"iter.node.next", V::kUnknown, false, false}}},
       {"vacation_update_add",
-       0,
        {{"vacation.res.init.used", V::kCaptured, true, false},
         {"vacation.res.init.free", V::kCaptured, true, false},
         {"vacation.res.init.total", V::kCaptured, true, false},
@@ -460,9 +458,9 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
       // The reservation diamond: the skip path's in-place cancellation
       // store is PROVEN (publication happens only on the sibling path);
       // the post-merge store demotes; stack/private scratch is proven on
-      // every path including both branch bodies.
+      // every path including both branch bodies. The inlined probe's
+      // loads read the shared tree and keep their barriers.
       {"vacation_reserve",
-       0,
        {{"vacation.query.write", V::kPrivate, true, false},
         {"vacation.query.read", V::kPrivate, true, false},
         {"vacation.query.write2", V::kPrivate, true, false},
@@ -470,6 +468,8 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
         {"vacation.scratch.init", V::kStack, true, false},
         {"vacation.best.init", V::kStack, true, false},
         {"vacation.res.init.price", V::kCaptured, true, false},
+        {"tfind.root.read", V::kUnknown, false, false},
+        {"tfind.node.read", V::kUnknown, false, false},
         {"vacation.res.read", V::kUnknown, false, false},
         {"vacation.tree.root.read", V::kUnknown, false, false},
         {"vacation.tree.attach", V::kUnknown, false, false},
@@ -479,21 +479,10 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
         {"vacation.res.merge", V::kUnknown, false, true},
         {"vacation.best.read", V::kStack, true, false},
         {"vacation.scratch.update", V::kStack, true, false}}},
-      // With inlining the helper's own loads join the caller's site list
-      // and stay barriers (they probe the shared tree); the branch
-      // verdicts are unchanged.
-      {"vacation_reserve",
-       2,
-       {{"vacation.scratch.update", V::kStack, true, false},
-        {"vacation.res.cancel", V::kCaptured, true, false},
-        {"vacation.res.merge", V::kUnknown, false, true},
-        {"tfind.root.read", V::kUnknown, false, false},
-        {"tfind.node.read", V::kUnknown, false, false}}},
       // The dedup diamond + chain-walk loop: miss-path inits proven, the
       // post-link bump demoted, every access through the loop-carried
       // chain pointer kept.
       {"genome_dedup_insert",
-       0,
        {{"genome.gene.read", V::kStatic, true, false},
         {"genome.bucket.head.read", V::kUnknown, false, false},
         {"genome.chain.key.read", V::kUnknown, false, false},
@@ -504,17 +493,17 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
         {"genome.node.init.next", V::kCaptured, true, false},
         {"genome.bucket.link", V::kUnknown, false, false},
         {"genome.count.bump", V::kUnknown, false, true}}},
-      // Summary-based: the allocator helper's return is a fresh capture
-      // even without inlining. The copy-loop store is proven — the new
-      // backing store is published only after the loop, and publication
-      // cannot flow backwards along any path (the old linear phi-back-edge
-      // rule had to demote this site).
+      // The inlined allocator's return is a fresh capture, and its init
+      // store joins the caller's sites. The copy-loop store is proven —
+      // the new backing store is published only after the loop, and
+      // publication cannot flow backwards along any path (the old linear
+      // phi-back-edge rule had to demote this site).
       {"vector_grow_push",
-       0,
        {{"vector.size.read", V::kUnknown, false, false},
         {"vector.cap.read", V::kUnknown, false, false},
         {"vector.data.read", V::kUnknown, false, false},
         {"vector.elem.store", V::kUnknown, false, false},
+        {"pvector.init.size", V::kCaptured, true, false},
         {"vector.newcap.write", V::kCaptured, true, false},
         {"vector.olddata.read", V::kUnknown, false, false},
         {"vector.copy.read", V::kUnknown, false, false},
@@ -522,44 +511,37 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
         {"vector.data.publish", V::kUnknown, false, false},
         {"vector.elem.post_publish", V::kUnknown, false, true},
         {"vector.size.write", V::kUnknown, false, false}}},
-      // Inlined: same verdicts, plus the helper's init store joins in.
-      {"vector_grow_push",
-       2,
-       {{"pvector.init.size", V::kCaptured, true, false},
-        {"vector.copy.init", V::kCaptured, true, false},
-        {"vector.elem.post_publish", V::kUnknown, false, true}}},
       {"kmeans_update",
-       0,
        {{"kmeans.center.read", V::kUnknown, false, false},
         {"kmeans.center.write", V::kUnknown, false, false}}},
-      {"pre_tx_buffer", 0, {{"pretx.store", V::kUnknown, false, false}}},
+      {"pre_tx_buffer", {{"pretx.store", V::kUnknown, false, false}}},
       {"branch_merge",
-       0,
        {{"join.both.captured", V::kCaptured, true, false},
         {"join.mixed", V::kUnknown, false, true}}},
+      // The inlined helper's own store goes through the shared slot.
       {"escape_via_call",
-       0,
        {{"escape.init", V::kCaptured, true, false},
+        {"helper.publish", V::kUnknown, false, false},
         {"escape.after_call", V::kUnknown, false, true}}},
+      // Inlined into this caller, the probe's first load reads the
+      // captured object; the pointer it loads was stored from the shared
+      // slot, so the second load keeps its barrier.
       {"no_escape_call",
-       0,
        {{"noescape.init", V::kCaptured, true, false},
+        {"tfind.root.read", V::kCaptured, true, false},
+        {"tfind.node.read", V::kUnknown, false, false},
         {"noescape.after_call", V::kCaptured, true, false}}},
       {"opaque_escape",
-       0,
        {{"opaque.init", V::kCaptured, true, false},
         {"opaque.after_call", V::kUnknown, false, true}}},
       {"static_data_read",
-       0,
        {{"static.read", V::kStatic, true, false},
         {"static.write", V::kStatic, false, false}}},
       {"cell_roundtrip",
-       0,
        {{"cell.store.inner", V::kCaptured, true, false},
         {"cell.load.inner", V::kCaptured, true, false},
         {"cell.write.through", V::kCaptured, true, false}}},
       {"cell_publish_closure",
-       0,
        {{"closure.store.inner", V::kCaptured, true, false},
         {"closure.publish.outer", V::kUnknown, false, false},
         {"closure.inner.after", V::kUnknown, false, true}}},
@@ -567,23 +549,15 @@ std::vector<KernelExpectation> stamp_kernel_expectations() {
 }
 
 std::vector<KernelReport> stamp_kernel_reports() {
-  // The entry list is derived from the expectation table (first occurrence
-  // order, deduplicated) so a kernel added with its ground truth can never
-  // silently vanish from the harness precision report.
-  std::vector<std::string> entries;
-  for (const KernelExpectation& e : stamp_kernel_expectations()) {
-    bool seen = false;
-    for (const std::string& known : entries) seen = seen || known == e.entry;
-    if (!seen) entries.push_back(e.entry);
-  }
+  // The entry list is the expectation table's (one row per entry), so a
+  // kernel added with its ground truth can never silently vanish from the
+  // precision report.
   const Program p = stamp_kernels();
   std::vector<KernelReport> reports;
-  for (const std::string& entry : entries) {
-    // Inline depth 2 is the paper's configuration ("relies on function
-    // inlining to extend the analysis results across function calls").
-    const AnalysisResult r = analyze(p, entry, 2);
+  for (const KernelExpectation& e : stamp_kernel_expectations()) {
+    const AnalysisResult r = analyze(p, e.entry);
     KernelReport rep;
-    rep.entry = entry;
+    rep.entry = e.entry;
     rep.stats = r.stats();
     rep.loads = r.total(false);
     rep.stores = r.total(true);

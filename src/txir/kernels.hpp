@@ -15,10 +15,10 @@
 // other), genome's segment dedup walks its bucket chain in a block-param
 // loop before the found/not-found diamond, and the vector grow-and-copy of
 // Figure 1(b) has the real grow branch plus a cursor-advancing copy loop,
-// lowered through an allocator helper that is provable both by summary
-// (inline depth 0) and by inlining. Several sites in these kernels are
-// provable ONLY under path-sensitive analysis (see the expectation table's
-// comments) — they are the regression guard for the CFG dataflow.
+// lowered through an allocator helper that inlining proves captured.
+// Several sites in these kernels are provable ONLY under path-sensitive
+// analysis (see the expectation table's comments) — they are the
+// regression guard for the CFG dataflow.
 #pragma once
 
 #include <string>
@@ -30,7 +30,7 @@
 namespace cstm::txir {
 
 /// Builds the kernel program (entry functions listed in the expectation
-/// table plus inlinable/summarizable helpers such as the vector allocator).
+/// table plus the helpers they call, such as the vector allocator).
 Program stamp_kernels();
 
 /// Expected analysis outcome for one site label of one kernel entry.
@@ -41,18 +41,18 @@ struct SiteExpectation {
   bool demoted;     // expected site_demoted
 };
 
+/// Every site of one entry, as analyze(program, entry) sees it — callee
+/// sites exposed by inlining included.
 struct KernelExpectation {
   std::string entry;
-  int inline_depth;  // 0 = summaries only, >0 = paper-style inlining
   std::vector<SiteExpectation> sites;
 };
 
-/// Ground truth table used by tests and cross-checked against the Site
-/// constants the execution-side code binds.
+/// Ground truth table used by tests, one row per entry.
 std::vector<KernelExpectation> stamp_kernel_expectations();
 
-/// Per-kernel analysis precision, computed at the paper's configuration
-/// (inline depth 2): the numbers behind the harness elision table.
+/// Per-kernel analysis precision under analyze(program, entry): the
+/// numbers behind the precision table.
 struct KernelReport {
   std::string entry;
   AnalysisStats stats;
@@ -63,8 +63,9 @@ struct KernelReport {
 
 std::vector<KernelReport> stamp_kernel_reports();
 
-/// The formatted "sites total / proven / demoted" table printed by the
-/// harness (figures 8-10 headers) and scripts/check.sh.
+/// The formatted "sites total / proven / demoted" table: the generated
+/// header's comment block, `txir_sitegen --report` and the
+/// compiler_analysis example print it.
 std::string kernel_report_table();
 
 }  // namespace cstm::txir

@@ -174,9 +174,9 @@ std::vector<SiteSpec> site_specs() {
 std::vector<ResolvedSite> resolve_site_verdicts(
     const Program& program, const std::vector<SiteSpec>& specs,
     std::vector<std::string>* errors) {
-  // One analysis run per distinct entry, at the paper's inline depth 2 —
-  // the same configuration stamp_kernel_reports() uses, so the emitted
-  // verdicts and the precision table always agree.
+  // One analysis run per distinct entry — the same analyze(program, entry)
+  // stamp_kernel_reports() uses, so the emitted verdicts and the precision
+  // table always agree.
   std::map<std::string, AnalysisResult> by_entry;
   std::vector<ResolvedSite> out;
   out.reserve(specs.size());
@@ -191,7 +191,7 @@ std::vector<ResolvedSite> resolve_site_verdicts(
       } else {
         auto it = by_entry.find(s.entry);
         if (it == by_entry.end()) {
-          it = by_entry.emplace(s.entry, analyze(program, s.entry, 2)).first;
+          it = by_entry.emplace(s.entry, analyze(program, s.entry)).first;
         }
         const AnalysisResult& a = it->second;
         const bool site_exists =
@@ -204,7 +204,7 @@ std::vector<ResolvedSite> resolve_site_verdicts(
             errors->push_back(s.ns + "::" + s.constant +
                               ": evidence site '" + s.kernel_site +
                               "' does not occur in kernel '" + s.entry +
-                              "' (inline depth 2)");
+                              "' (after inlining)");
           }
         } else {
           r.verdict = a.site_verdict(s.kernel_site);

@@ -9,7 +9,7 @@
 // Now the pipeline is:
 //
 //   kernel corpus (kernels.cpp)
-//        │ analyze(entry, inline depth 2)      — paper §3.2 configuration
+//        │ analyze(program, entry)             — inline, then analyze (§3.2)
 //        ▼
 //   site_specs() evidence rows ──► resolved Verdict per Site constant
 //        │ render_site_verdicts_header()       — deterministic text
@@ -29,7 +29,7 @@
 //
 // Evidence semantics per row:
 //  * entry + kernel_site name a load/store site label in the corpus; the
-//    emitted verdict is what `analyze(program, entry, 2)` derives for it.
+//    emitted verdict is what `analyze(program, entry)` derives for it.
 //    Rows whose kernel shape is shared (tree probes, accumulator bumps)
 //    legitimately resolve to kUnknown — the barrier stays, and that *is*
 //    the analysis result.
@@ -68,8 +68,8 @@ struct ResolvedSite {
   Verdict verdict = Verdict::kUnknown;
 };
 
-/// Runs the capture analysis (inline depth 2, the paper's configuration)
-/// over @p program and resolves every spec's verdict. Specs with evidence
+/// Runs the capture analysis (analyze(program, entry), the paper's
+/// configuration) over @p program and resolves every spec's verdict. Specs with evidence
 /// naming an entry or site label absent from the corpus are reported in
 /// @p errors (one message each) and resolve to kUnknown — `txir_sitegen`
 /// refuses to emit a header when @p errors is non-empty.

@@ -132,7 +132,7 @@ TEST(SiteGen, BoundSiteConstantsMatchTheirCitedEvidence) {
       continue;
     }
     ++evidence_rows;
-    const AnalysisResult a = analyze(p, r.spec.entry, 2);
+    const AnalysisResult a = analyze(p, r.spec.entry);
     EXPECT_EQ(r.verdict, a.site_verdict(r.spec.kernel_site))
         << r.spec.ns << "::" << r.spec.constant;
   }

@@ -1,6 +1,6 @@
 // Tests for the txir CFG and static capture analysis (paper Section 3.2,
-// grown to the branch-aware, path-sensitive interprocedural pipeline of
-// src/txir).
+// grown to the branch-aware, path-sensitive pipeline of src/txir, which
+// sees across calls by inlining them).
 //
 // Structure:
 //  * CFG structure: verifier accepts well-formed functions and names every
@@ -11,6 +11,8 @@
 //    escape via store to shared, alias merge at a block param, publication
 //    before an access on any path, opaque calls, loop-carried publication,
 //    irreducible and multi-latch loops) must come back kUnknown;
+//  * inlining: known callees are spliced kInlineDepth levels deep, and
+//    every call left after that is opaque;
 //  * path sensitivity: publication on ONE branch must not demote the
 //    sibling branch's accesses — the precision the linear IR lacked;
 //  * golden verdicts: the legal shapes must come back with the exact
@@ -221,13 +223,13 @@ TEST(TxIrInterproc, InliningHandlesResultlessCall) {
     b.store(x, 8, x, "after");
     b.ret();
   }
-  const Function inlined = inline_calls(p, *p.find("entry"), 1);
+  const Function inlined = inline_calls(p, *p.find("entry"));
   const auto errs = verify(inlined);
   EXPECT_TRUE(errs.empty()) << errs.front();
   // Inlined into the caller's context the helper's store hits captured
   // memory (same as InliningSpecializesCalleeSites).
-  EXPECT_TRUE(analyze(p, "entry", 1).site_elidable("h.store"));
-  EXPECT_TRUE(analyze(p, "entry", 1).site_elidable("after"));
+  EXPECT_TRUE(analyze(p, "entry").site_elidable("h.store"));
+  EXPECT_TRUE(analyze(p, "entry").site_elidable("after"));
 }
 
 TEST(TxIrVerifier, KernelCorpusIsWellFormed) {
@@ -238,7 +240,7 @@ TEST(TxIrVerifier, KernelCorpusIsWellFormed) {
     EXPECT_TRUE(errs.empty()) << name << ": " << errs.front();
   }
   for (const KernelExpectation& e : stamp_kernel_expectations()) {
-    const Function inlined = inline_calls(p, *p.find(e.entry), 2);
+    const Function inlined = inline_calls(p, *p.find(e.entry));
     const auto errs = verify(inlined);
     EXPECT_TRUE(errs.empty()) << e.entry << ".inlined: " << errs.front();
   }
@@ -588,11 +590,11 @@ TEST(TxIrPathSensitive, KernelCorpusContainsBranchProvenSites) {
   // (b) provably NOT provable under a linearized encoding — encoded here
   // as the two named sites whose proofs depend on path structure.
   const Program p = stamp_kernels();
-  const AnalysisResult vac = analyze(p, "vacation_reserve", 2);
+  const AnalysisResult vac = analyze(p, "vacation_reserve");
   EXPECT_EQ(vac.site_verdict("vacation.res.cancel"), Verdict::kCaptured);
   EXPECT_TRUE(vac.site_elidable("vacation.res.cancel"));
   EXPECT_TRUE(vac.site_demoted("vacation.res.merge"));
-  const AnalysisResult vec = analyze(p, "vector_grow_push", 2);
+  const AnalysisResult vec = analyze(p, "vector_grow_push");
   EXPECT_EQ(vec.site_verdict("vector.copy.init"), Verdict::kCaptured);
   EXPECT_TRUE(vec.site_elidable("vector.copy.init"));
   EXPECT_TRUE(vec.site_demoted("vector.elem.post_publish"));
@@ -672,6 +674,42 @@ TEST(TxIrSoundness, PublicationIsTransitiveThroughStoredPointers) {
   b.store(inner, 0, shared, "inner.after");
   b.ret();
   EXPECT_TRUE(analyze(f).site_demoted("inner.after"));
+}
+
+TEST(TxIrSoundness, PublicationReachesThroughSitesPublishedOnAnotherPath) {
+  // One branch publishes `a`; the other stores `x` into `a` instead. After
+  // the merge `a` may already be published, yet on the second path it was
+  // not, and `x` sits inside it. Publishing `a` again (by a store or an
+  // opaque call) must still publish `x`.
+  for (const bool via_call : {false, true}) {
+    Function f;
+    FunctionBuilder b(f);
+    const BlockId pub = b.block("pub");
+    const BlockId hold = b.block("hold");
+    const BlockId merge = b.block("merge");
+    const ValueId shared = b.param();
+    const ValueId a = b.txalloc();
+    const ValueId x = b.txalloc();
+    b.br_cond(b.unknown(), pub, hold);
+    b.set_block(pub);
+    b.store(shared, 0, a, "publish.a");
+    b.br(merge);
+    b.set_block(hold);
+    b.store(a, 0, x, "a.holds.x");
+    b.br(merge);
+    b.set_block(merge);
+    if (via_call) {
+      (void)b.call("extern_fn", {a});
+    } else {
+      b.store(shared, 8, a, "publish.a.again");
+    }
+    b.store(x, 8, x, "x.after");
+    b.ret();
+    ASSERT_TRUE(verify(f).empty());
+    const AnalysisResult r = analyze(f);
+    EXPECT_TRUE(r.site_elidable("a.holds.x")) << "via_call=" << via_call;
+    EXPECT_TRUE(r.site_demoted("x.after")) << "via_call=" << via_call;
+  }
 }
 
 TEST(TxIrSoundness, AliasMergeAtBlockParamKeepsBarrier) {
@@ -915,10 +953,10 @@ TEST(TxIrSoundness, MultiLatchLoopPublicationFlowsThroughEveryLatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Interprocedural: summaries and inlining.
+// Interprocedural: inlining, and the opaque calls it leaves.
 // ---------------------------------------------------------------------------
 
-TEST(TxIrInterproc, SummaryProvesFreshAllocatorReturn) {
+TEST(TxIrInterproc, InliningProvesFreshAllocatorReturn) {
   Program p;
   {
     Function& helper = p.add("helper_alloc");
@@ -934,12 +972,14 @@ TEST(TxIrInterproc, SummaryProvesFreshAllocatorReturn) {
     b.store(r, 0, r, "entry.use");
     b.ret();
   }
-  // Depth 0 uses the summary; no inlining needed for the caller's proof.
-  EXPECT_TRUE(analyze(p, "entry", 0).site_elidable("entry.use"));
-  EXPECT_TRUE(analyze(p, "entry", 2).site_elidable("entry.use"));
+  const AnalysisResult r = analyze(p, "entry");
+  EXPECT_TRUE(r.site_elidable("helper.init"));
+  EXPECT_TRUE(r.site_elidable("entry.use"));
+  // Without inlining the call is opaque and its result unknown.
+  EXPECT_FALSE(analyze(*p.find("entry")).site_elidable("entry.use"));
 }
 
-TEST(TxIrInterproc, SummaryPublishesEscapingParams) {
+TEST(TxIrInterproc, InlinedCalleePublishesEscapingArgument) {
   Program p;
   {
     Function& h = p.add("leak");
@@ -959,8 +999,9 @@ TEST(TxIrInterproc, SummaryPublishesEscapingParams) {
     b.store(x, 8, slot, "after");
     b.ret();
   }
-  const AnalysisResult r = analyze(p, "entry", 0);
+  const AnalysisResult r = analyze(p, "entry");
   EXPECT_TRUE(r.site_elidable("before"));
+  EXPECT_FALSE(r.site_elidable("leak.store"));
   EXPECT_TRUE(r.site_demoted("after"));
 }
 
@@ -981,12 +1022,15 @@ TEST(TxIrInterproc, ReadOnlyCalleeDoesNotKillCapture) {
     b.store(x, 0, x, "after");
     b.ret();
   }
-  EXPECT_TRUE(analyze(p, "entry", 0).site_elidable("after"));
+  const AnalysisResult r = analyze(p, "entry");
+  EXPECT_TRUE(r.site_elidable("probe.read"));
+  EXPECT_TRUE(r.site_elidable("after"));
 }
 
 TEST(TxIrInterproc, InliningSpecializesCalleeSites) {
-  // The callee's own site is only provable in the caller's context; the
-  // summary cannot name it, inlining can.
+  // The callee's own site is only provable in the caller's context:
+  // analyzed alone its parameter is unknown, inlined it is the caller's
+  // captured object.
   Program p;
   {
     Function& h = p.add("store_into");
@@ -1002,8 +1046,8 @@ TEST(TxIrInterproc, InliningSpecializesCalleeSites) {
     (void)b.call("store_into", {x});
     b.ret();
   }
-  EXPECT_FALSE(analyze(p, "entry", 0).site_elidable("helper.store"));
-  EXPECT_TRUE(analyze(p, "entry", 1).site_elidable("helper.store"));
+  EXPECT_FALSE(analyze(*p.find("store_into")).site_elidable("helper.store"));
+  EXPECT_TRUE(analyze(p, "entry").site_elidable("helper.store"));
 }
 
 TEST(TxIrInterproc, InliningAcrossBranchesKeepsPathSensitivity) {
@@ -1039,49 +1083,51 @@ TEST(TxIrInterproc, InliningAcrossBranchesKeepsPathSensitivity) {
     b.store(x, 16, slot, "caller.after");
     b.ret();
   }
-  const AnalysisResult r = analyze(p, "entry", 1);
+  const AnalysisResult r = analyze(p, "entry");
   EXPECT_TRUE(r.site_elidable("h.priv"))
       << "the callee's non-publishing path must survive inlining";
   EXPECT_TRUE(r.site_demoted("caller.after"));
 }
 
 TEST(TxIrInterproc, InlineDepthLimits) {
-  Program p;
-  {
-    Function& l2 = p.add("level2");
-    FunctionBuilder b(l2);
-    const ValueId v = b.txalloc();
-    b.ret(v);
-  }
-  {
-    Function& l1 = p.add("level1");
-    FunctionBuilder b(l1);
-    // Launder the callee result through a join with unknown so the
-    // depth-1 summary of level1 (with level2 left opaque inside it)
-    // cannot prove freshness.
-    const BlockId a = b.block("a");
-    const BlockId c = b.block("c");
-    const BlockId m = b.block("m");
-    const ValueId phi = b.block_param(m);
-    const ValueId r = b.call("level2", {});
-    const ValueId u = b.unknown();
-    const ValueId cond = b.unknown();
-    b.br_cond(cond, a, c);
-    b.set_block(a);
-    b.br(m, {r});
-    b.set_block(c);
-    b.br(m, {u});
-    b.set_block(m);
-    b.ret(phi);
-  }
-  {
+  // entry -> chain1 -> ... -> chain<n> -> leaf, where leaf only writes
+  // into its argument. With n == kInlineDepth the call to leaf is one
+  // level too deep: it stays opaque, publishes the caller's object and
+  // demotes the caller's later access. One level shorter, leaf is inlined
+  // and the access stays proven.
+  const auto chain_program = [](int n) {
+    Program p;
+    {
+      Function& leaf = p.add("leaf");
+      FunctionBuilder b(leaf);
+      const ValueId q = b.param();
+      b.store(q, 0, q, "leaf.store");
+      b.ret();
+    }
+    for (int i = 1; i <= n; ++i) {
+      Function& f = p.add("chain" + std::to_string(i));
+      FunctionBuilder b(f);
+      const ValueId q = b.param();
+      (void)b.call(i == n ? "leaf" : "chain" + std::to_string(i + 1), {q});
+      b.ret();
+    }
     Function& f = p.add("entry");
     FunctionBuilder b(f);
-    const ValueId r = b.call("level1", {});
-    b.store(r, 0, r, "use");
+    const ValueId x = b.txalloc();
+    (void)b.call("chain1", {x});
+    b.store(x, 8, x, "after");
     b.ret();
-  }
-  EXPECT_FALSE(analyze(p, "entry", 0).site_elidable("use"));
+    return p;
+  };
+
+  const AnalysisResult deep = analyze(chain_program(kInlineDepth), "entry");
+  EXPECT_TRUE(deep.site_demoted("after"));
+  EXPECT_EQ(deep.total(true), 1u) << "leaf.store must not be inlined";
+
+  const AnalysisResult within =
+      analyze(chain_program(kInlineDepth - 1), "entry");
+  EXPECT_TRUE(within.site_elidable("leaf.store"));
+  EXPECT_TRUE(within.site_elidable("after"));
 }
 
 TEST(TxIrInterproc, RecursionDegradesToOpaque) {
@@ -1101,27 +1147,30 @@ TEST(TxIrInterproc, RecursionDegradesToOpaque) {
     b.store(x, 0, x, "after");
     b.ret();
   }
-  // The recursive summary must be conservative: the argument escapes.
-  EXPECT_FALSE(analyze(p, "entry", 0).site_elidable("after"));
+  // Inlining stops after kInlineDepth copies of rec; the innermost call is
+  // opaque, so the argument escapes.
+  EXPECT_TRUE(analyze(p, "entry").site_demoted("after"));
 }
 
 TEST(TxIrInterproc, CalleeWritesThroughReachablePointersClobberCells) {
   // A callee can load a pointer OUT of its argument's memory and store a
   // shared pointer through it. The caller's field cells reachable from
-  // the argument (transitively) must be invalidated, or a later reload
-  // would resurrect the pre-call capture proof for what is now a shared
-  // pointer — an unsound zero-probe elision.
-  Program p;
-  {
-    Function& h = p.add("deep_write");
-    FunctionBuilder b(h);
-    const ValueId q = b.param();
-    const ValueId r = b.param();
-    const ValueId t = b.load(q, 0, "deep.load");
-    b.store(t, 0, r, "deep.store");
-    b.ret();
-  }
-  {
+  // the argument (transitively) must not keep the pre-call contents, or a
+  // later reload would resurrect the capture proof for what is now a
+  // shared pointer — an unsound zero-probe elision. Inlined, the callee's
+  // store updates the cell; left opaque (`deep_write` unknown), the call
+  // publishes everything reachable from the argument.
+  for (const bool inlined : {true, false}) {
+    Program p;
+    if (inlined) {
+      Function& h = p.add("deep_write");
+      FunctionBuilder b(h);
+      const ValueId q = b.param();
+      const ValueId r = b.param();
+      const ValueId t = b.load(q, 0, "deep.load");
+      b.store(t, 0, r, "deep.store");
+      b.ret();
+    }
     Function& f = p.add("entry");
     FunctionBuilder b(f);
     const ValueId shared = b.param();
@@ -1134,15 +1183,15 @@ TEST(TxIrInterproc, CalleeWritesThroughReachablePointersClobberCells) {
     const ValueId w = b.load(y, 0, "reload");
     b.store(w, 0, shared, "through.reload");
     b.ret();
+    // y's field may now hold `shared`: the write through the reload must
+    // keep its barrier.
+    EXPECT_FALSE(analyze(p, "entry").site_elidable("through.reload"))
+        << "inlined=" << inlined;
   }
-  const AnalysisResult r = analyze(p, "entry", 0);
-  // y's field may now hold `shared`: the write through the reload must
-  // keep its barrier.
-  EXPECT_FALSE(r.site_elidable("through.reload"));
 }
 
 TEST(TxIrInterproc, ReadOnlyCalleeDoesNotClobberReachableCells) {
-  // The inverse precision check: a provably read-only callee leaves the
+  // The inverse precision check: an inlined read-only callee leaves the
   // caller's field tracking intact.
   Program p;
   {
@@ -1165,26 +1214,12 @@ TEST(TxIrInterproc, ReadOnlyCalleeDoesNotClobberReachableCells) {
     b.store(w, 0, shared, "through.reload");
     b.ret();
   }
-  EXPECT_TRUE(analyze(p, "entry", 0).site_elidable("through.reload"));
+  const AnalysisResult r = analyze(p, "entry");
+  EXPECT_TRUE(r.site_elidable("deepread.load2"));
+  EXPECT_TRUE(r.site_elidable("through.reload"));
 }
 
-TEST(TxIrSoundness, ArgumentsPastTheBitmaskWidthAreAlwaysPublished) {
-  // The publishes bitmask covers 64 parameters; anything past it must be
-  // treated as escaping, never silently skipped.
-  Program p;
-  Function& f = p.add("f");
-  FunctionBuilder b(f);
-  const ValueId x = b.txalloc();
-  std::vector<ValueId> args;
-  for (int i = 0; i < 64; ++i) args.push_back(b.unknown());
-  args.push_back(x);  // argument index 64
-  (void)b.call("extern_fn", args);
-  b.store(x, 0, x, "after");
-  b.ret();
-  EXPECT_TRUE(analyze(f).site_demoted("after"));
-}
-
-TEST(TxIrInterproc, SummaryParamPassthrough) {
+TEST(TxIrInterproc, InliningPassesArgumentThrough) {
   Program p;
   {
     Function& h = p.add("ident");
@@ -1200,7 +1235,7 @@ TEST(TxIrInterproc, SummaryParamPassthrough) {
     b.store(y, 0, x, "through");
     b.ret();
   }
-  EXPECT_TRUE(analyze(p, "entry", 0).site_elidable("through"));
+  EXPECT_TRUE(analyze(p, "entry").site_elidable("through"));
 }
 
 TEST(TxIr, DumpIsStable) {
@@ -1235,26 +1270,25 @@ TEST_P(KernelTruth, MatchesAnalysis) {
   const auto expectations = stamp_kernel_expectations();
   const KernelExpectation& e = expectations[GetParam()];
   const Program p = stamp_kernels();
-  const AnalysisResult r = analyze(p, e.entry, e.inline_depth);
+  const AnalysisResult r = analyze(p, e.entry);
   for (const SiteExpectation& s : e.sites) {
     EXPECT_EQ(r.site_verdict(s.site), s.verdict)
-        << e.entry << " (depth " << e.inline_depth << "): " << s.site
-        << " verdict mismatch";
+        << e.entry << ": " << s.site << " verdict mismatch";
     EXPECT_EQ(r.site_elidable(s.site), s.elidable)
-        << e.entry << " (depth " << e.inline_depth << "): " << s.site
-        << " elidability mismatch";
+        << e.entry << ": " << s.site << " elidability mismatch";
     EXPECT_EQ(r.site_demoted(s.site), s.demoted)
-        << e.entry << " (depth " << e.inline_depth << "): " << s.site
-        << " demotion mismatch";
+        << e.entry << ": " << s.site << " demotion mismatch";
   }
+  // The row lists every site the analysis reports, callee sites exposed by
+  // inlining included.
+  EXPECT_EQ(r.stats().sites_total, e.sites.size()) << e.entry;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelTruth,
     ::testing::Range<std::size_t>(0, stamp_kernel_expectations().size()),
     [](const auto& info) {
-      const auto e = stamp_kernel_expectations()[info.param];
-      return e.entry + "_d" + std::to_string(e.inline_depth);
+      return stamp_kernel_expectations()[info.param].entry;
     });
 
 // ---------------------------------------------------------------------------
@@ -1276,13 +1310,13 @@ TEST(KernelSiteCrossCheck, NonGeneratedSiteVerdictsMatchAnalysis) {
   // derived Site carries Verdict::kCaptured.
   using ResField =
       tfield<std::uint64_t, stamp::vacation_sites::kResField>;
-  EXPECT_EQ(analyze(p, "vacation_update_add", 2)
+  EXPECT_EQ(analyze(p, "vacation_update_add")
                 .site_verdict("vacation.res.init.price"),
             ResField::kInitSite.verdict);
 
   // The generic auto-captured Site used for tx_malloc'd scratch matches
   // the captured verdict of the allocator kernels.
-  EXPECT_EQ(analyze(p, "list_insert", 2).site_verdict("list.node.init.value"),
+  EXPECT_EQ(analyze(p, "list_insert").site_verdict("list.node.init.value"),
             kAutoCapturedSite.verdict);
 }
 

@@ -1,10 +1,11 @@
 // txir_sitegen: the analysis→codegen bridge tool.
 //
-// Runs the flow-sensitive capture analysis (inline depth 2) over the
-// kernel corpus and renders generated/site_verdicts.hpp — the single
-// source of truth for the Site verdicts src/containers/ and src/stamp/
-// bind into their typed fields. See src/txir/site_table.{hpp,cpp} for the
-// spec table and the emitter; this file is only the CLI.
+// Inlines each kernel entry's calls (kInlineDepth levels), runs the
+// flow-sensitive capture analysis over the result and renders
+// generated/site_verdicts.hpp — the single source of truth for the Site
+// verdicts src/containers/ and src/stamp/ bind into their typed fields.
+// See src/txir/site_table.{hpp,cpp} for the spec table and the emitter;
+// this file is only the CLI.
 //
 // Modes:
 //   txir_sitegen                      render the header to stdout
