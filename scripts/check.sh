@@ -3,11 +3,12 @@
 # hermetic scripts/ci.sh; this script runs the same gates but tolerates
 # missing optional tools with loud SKIP banners instead of failing):
 # the tier-1 verify (release build + full ctest, which includes the
-# cross-config differential torture suite), the same test suite under
-# AddressSanitizer, the gtest suites under ThreadSanitizer, the typed-API
-# and site-verdict boundary greps, the codegen staleness gate (committed
-# generated/site_verdicts.hpp vs a fresh txir_sitegen render — the exact
-# drift diff CI's codegen-drift step would print), the per-kernel
+# cross-config differential torture suite `test_differential` and the
+# codegen staleness gate `sitegen_check`: committed
+# generated/site_verdicts.hpp vs a fresh txir_sitegen render, with the
+# exact drift diff CI's codegen-drift step would print), the same test
+# suite under AddressSanitizer, the gtest suites under ThreadSanitizer, the
+# typed-API and site-verdict boundary greps, the per-kernel
 # static-analysis elision table (printed in
 # every run so analysis-precision regressions are visible), the advisory
 # bench regression gate (scripts/bench_gate.py; -s makes it fatal), the
@@ -43,16 +44,10 @@ scripts/check_devirt.sh
 echo "== site-verdict boundary (all Site verdicts come from generated/) =="
 scripts/check_site_boundary.sh
 
-echo "== tier-1: release build + ctest (includes differential torture) =="
+echo "== tier-1: release build + ctest (includes differential torture and the codegen staleness gate) =="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$jobs"
 (cd build && ctest --output-on-failure -j "$jobs")
-
-echo "== codegen staleness gate (same drift diff CI's codegen-drift prints) =="
-./build/txir_sitegen --check generated/site_verdicts.hpp
-
-echo "== cross-config differential torture (explicit) =="
-./build/test_differential --gtest_brief=1
 
 echo "== static capture analysis: per-kernel elision table =="
 ./build/txir_sitegen --report

@@ -58,14 +58,14 @@ class ArrayAllocLog {
   void clear() {
     for (auto& r : ranges_) r.begin = r.end = 0;
     count_ = 0;
+    dropped_ = 0;
   }
 
   std::size_t entries() const { return count_; }
   const char* name() const { return "array"; }
 
-  /// Cumulative number of allocations that did not fit (diagnostic; clear()
-  /// does NOT reset it, so TxStats::array_overflows reads per-transaction
-  /// overflows as deltas of this counter).
+  /// Allocations that did not fit since the last clear(); reset_logs folds
+  /// it into TxStats::array_overflows once per transaction.
   std::uint64_t dropped() const { return dropped_; }
 
  private:

@@ -203,10 +203,6 @@ class Tx {
   std::unique_ptr<TreeAllocLog> tree_log_;
   std::unique_ptr<FilterAllocLog> filter_log_;
   ExponentialBackoff backoff_;
-  /// ArrayAllocLog::dropped() high-water already folded into
-  /// stats.array_overflows (the log's counter is cumulative; stats may be
-  /// reset independently, so reset_logs folds deltas).
-  std::uint64_t array_dropped_seen_ = 0;
 };
 
 #pragma GCC diagnostic push

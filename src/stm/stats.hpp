@@ -49,8 +49,8 @@ namespace cstm {
   X(nested_partial_aborts)                                                    \
   /* txbatch merge layer (src/txbatch/batcher.hpp): outer merged            \
      transactions committed, sub-ops executed inside them, and sub-ops       \
-     rolled back by the per-op compensation path (requeued or failed         \
-     without touching their siblings). */                                     \
+     rolled back individually by the per-op compensation path,               \
+     without touching their siblings. */                                     \
   X(batch_flushes) X(batch_ops) X(batch_op_compensations)                     \
   /* Durable mode (src/durable/). Logged stores are the non-captured writes \
      that earned a redo entry; pwbs/pfences count the commit protocol's      \

@@ -221,19 +221,14 @@ void Tx::reset_logs() {
   alloc.clear();
   dlog.clear();
   durable_allocs.clear();
+  // Every transaction exit path — commit, abort, cancel — comes through
+  // here, so the array log's overflows are counted once per transaction,
+  // before the clear below resets them.
+  stats.array_overflows += frame.array.dropped();
   // Only the plan's log is maintained, so only it needs a reset; tree_log()
   // and filter_log() construct the structure on the first transaction that
   // actually selects it.
   with_active_log([](auto& log) { log.clear(); });
-  // Fold the array log's overflow counter (cumulative across clears, by
-  // design) into the stats as a delta. Every transaction exit path — commit,
-  // abort, cancel — comes through reset_logs, so the counter is current
-  // whenever anyone snapshots stats.
-  const std::uint64_t dropped = frame.array.dropped();
-  if (dropped > array_dropped_seen_) {
-    stats.array_overflows += dropped - array_dropped_seen_;
-    array_dropped_seen_ = dropped;
-  }
 }
 
 namespace {

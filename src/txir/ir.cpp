@@ -6,16 +6,14 @@
 namespace cstm::txir {
 
 // ---------------------------------------------------------------------------
-// CFG construction: successors, reverse postorder, dominators, edge classes
+// CFG construction: successors and reverse postorder
 // ---------------------------------------------------------------------------
 
 Cfg build_cfg(const Function& f) {
   Cfg cfg;
   const std::size_t n = f.blocks.size();
   cfg.succs.assign(n, {});
-  cfg.preds.assign(n, {});
   cfg.rpo_index.assign(n, -1);
-  cfg.idom.assign(n, kNoBlock);
   if (n == 0) return cfg;
 
   auto in_range = [&](BlockId b) {
@@ -30,12 +28,6 @@ Cfg build_cfg(const Function& f) {
     }
     if (t.op == TermOp::kBrCond && in_range(t.els.block)) {
       cfg.succs[static_cast<std::size_t>(bb.id)].push_back(t.els.block);
-    }
-  }
-  for (std::size_t b = 0; b < n; ++b) {
-    for (BlockId s : cfg.succs[b]) {
-      cfg.preds[static_cast<std::size_t>(s)].push_back(
-          static_cast<BlockId>(b));
     }
   }
 
@@ -65,65 +57,7 @@ Cfg build_cfg(const Function& f) {
     cfg.rpo_index[static_cast<std::size_t>(cfg.rpo[i])] = static_cast<int>(i);
   }
 
-  // Immediate dominators: Cooper-Harvey-Kennedy iteration over the RPO.
-  auto intersect = [&](BlockId a, BlockId b) {
-    while (a != b) {
-      while (cfg.rpo_index[static_cast<std::size_t>(a)] >
-             cfg.rpo_index[static_cast<std::size_t>(b)]) {
-        a = cfg.idom[static_cast<std::size_t>(a)];
-      }
-      while (cfg.rpo_index[static_cast<std::size_t>(b)] >
-             cfg.rpo_index[static_cast<std::size_t>(a)]) {
-        b = cfg.idom[static_cast<std::size_t>(b)];
-      }
-    }
-    return a;
-  };
-  cfg.idom[0] = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (BlockId b : cfg.rpo) {
-      if (b == 0) continue;
-      BlockId new_idom = kNoBlock;
-      for (BlockId p : cfg.preds[static_cast<std::size_t>(b)]) {
-        if (!cfg.reachable(p) ||
-            cfg.idom[static_cast<std::size_t>(p)] == kNoBlock) {
-          continue;
-        }
-        new_idom = new_idom == kNoBlock ? p : intersect(p, new_idom);
-      }
-      if (new_idom != kNoBlock &&
-          cfg.idom[static_cast<std::size_t>(b)] != new_idom) {
-        cfg.idom[static_cast<std::size_t>(b)] = new_idom;
-        changed = true;
-      }
-    }
-  }
-
-  // Edge classification: retreating (rpo-backward) vs true back-edges
-  // (target dominates source). A retreating edge that is not a back-edge
-  // is the signature of an irreducible (multi-entry) loop.
-  for (BlockId u : cfg.rpo) {
-    for (BlockId v : cfg.succs[static_cast<std::size_t>(u)]) {
-      if (!cfg.reachable(v)) continue;
-      if (cfg.rpo_index[static_cast<std::size_t>(v)] <=
-          cfg.rpo_index[static_cast<std::size_t>(u)]) {
-        cfg.retreating_edges.emplace_back(u, v);
-        if (cfg.dominates(v, u)) cfg.back_edges.emplace_back(u, v);
-      }
-    }
-  }
   return cfg;
-}
-
-bool Cfg::dominates(BlockId a, BlockId b) const {
-  if (!reachable(a) || !reachable(b)) return false;
-  while (true) {
-    if (b == a) return true;
-    if (b == 0) return false;
-    b = idom[static_cast<std::size_t>(b)];
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,6 +70,55 @@ struct DefPoint {
   BlockId block = kNoBlock;
   int index = 0;  // -1 = block param / function param; else body position
 };
+
+/// Immediate dominators by Cooper-Harvey-Kennedy iteration over the RPO:
+/// the entry's is itself, an unreachable block's kNoBlock.
+std::vector<BlockId> immediate_dominators(const Cfg& cfg) {
+  const std::size_t n = cfg.succs.size();
+  std::vector<BlockId> idom(n, kNoBlock);
+  if (n == 0) return idom;
+  std::vector<std::vector<BlockId>> preds(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    for (BlockId s : cfg.succs[b]) {
+      preds[static_cast<std::size_t>(s)].push_back(static_cast<BlockId>(b));
+    }
+  }
+  auto intersect = [&](BlockId a, BlockId b) {
+    while (a != b) {
+      while (cfg.rpo_index[static_cast<std::size_t>(a)] >
+             cfg.rpo_index[static_cast<std::size_t>(b)]) {
+        a = idom[static_cast<std::size_t>(a)];
+      }
+      while (cfg.rpo_index[static_cast<std::size_t>(b)] >
+             cfg.rpo_index[static_cast<std::size_t>(a)]) {
+        b = idom[static_cast<std::size_t>(b)];
+      }
+    }
+    return a;
+  };
+  idom[0] = 0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (BlockId b : cfg.rpo) {
+      if (b == 0) continue;
+      BlockId new_idom = kNoBlock;
+      for (BlockId p : preds[static_cast<std::size_t>(b)]) {
+        if (!cfg.reachable(p) ||
+            idom[static_cast<std::size_t>(p)] == kNoBlock) {
+          continue;
+        }
+        new_idom = new_idom == kNoBlock ? p : intersect(p, new_idom);
+      }
+      if (new_idom != kNoBlock &&
+          idom[static_cast<std::size_t>(b)] != new_idom) {
+        idom[static_cast<std::size_t>(b)] = new_idom;
+        changed = true;
+      }
+    }
+  }
+  return idom;
+}
 
 }  // namespace
 
@@ -237,6 +220,14 @@ std::vector<std::string> verify(const Function& f) {
   // Dominance of uses. Uses in a block body happen at their instruction
   // index; terminator operands (cond, ret, branch args) at body.size().
   const Cfg cfg = build_cfg(f);
+  const std::vector<BlockId> idom = immediate_dominators(cfg);
+  // Does @p a dominate the reachable block @p b? (Reflexive.)
+  auto dominates = [&](BlockId a, BlockId b) {
+    for (; b != a; b = idom[static_cast<std::size_t>(b)]) {
+      if (b == 0) return false;
+    }
+    return true;
+  };
   auto check_use = [&](ValueId v, BlockId b, int idx, const char* what) {
     if (v == kNoValue) return;
     if (v < 0 || static_cast<std::size_t>(v) >= nvals ||
@@ -247,7 +238,7 @@ std::vector<std::string> verify(const Function& f) {
     }
     if (!cfg.reachable(b)) return;  // dead code: nothing to prove
     const DefPoint d = defs[static_cast<std::size_t>(v)];
-    const bool ok = d.block == b ? d.index < idx : cfg.dominates(d.block, b);
+    const bool ok = d.block == b ? d.index < idx : dominates(d.block, b);
     if (!ok) {
       err(block_name(b) + " " + what + " uses %" + std::to_string(v) +
           " which does not dominate the use");

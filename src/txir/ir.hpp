@@ -246,34 +246,17 @@ class FunctionBuilder {
   BlockId cur_ = 0;
 };
 
-/// Derived CFG facts: successor/predecessor lists, a reverse postorder of
-/// the reachable blocks, immediate dominators (Cooper-Harvey-Kennedy), and
-/// a back-edge/retreating-edge classification. The analysis engine reads
-/// only `rpo`, `rpo_index` and reachable(); the verifier uses dominance,
-/// and the edge lists describe loop shape for the tests.
+/// Derived CFG facts: successor lists and a reverse postorder of the
+/// reachable blocks — what the analysis engine's worklist reads. The
+/// verifier derives dominators from them.
 struct Cfg {
   std::vector<std::vector<BlockId>> succs;
-  std::vector<std::vector<BlockId>> preds;
   std::vector<BlockId> rpo;       // reachable blocks in reverse postorder
   std::vector<int> rpo_index;     // block -> position in rpo; -1 unreachable
-  std::vector<BlockId> idom;      // immediate dominator; entry's is itself;
-                                  // kNoBlock for unreachable blocks
-
-  /// Back-edges u->v where v dominates u: the latches of natural loops.
-  std::vector<std::pair<BlockId, BlockId>> back_edges;
-  /// Retreating edges u->v with rpo_index[v] <= rpo_index[u]. Every back
-  /// edge retreats; a retreating edge that is NOT a back-edge means the
-  /// CFG is irreducible (a loop with multiple entries).
-  std::vector<std::pair<BlockId, BlockId>> retreating_edges;
 
   bool reachable(BlockId b) const {
     return b >= 0 && static_cast<std::size_t>(b) < rpo_index.size() &&
            rpo_index[static_cast<std::size_t>(b)] >= 0;
-  }
-  /// Does @p a dominate @p b? (Reflexive; false for unreachable blocks.)
-  bool dominates(BlockId a, BlockId b) const;
-  bool irreducible() const {
-    return retreating_edges.size() != back_edges.size();
   }
 };
 

@@ -95,7 +95,6 @@ void* Pool::carve(std::uint32_t cls) {
   if (static_cast<std::size_t>(bump_end_ - bump_) < need) {
     char* chunk = static_cast<char*>(::operator new(kChunkBytes));
     chunks_.push_back(chunk);
-    stats_.chunk_bytes += kChunkBytes;
     bump_ = chunk;
     bump_end_ = chunk + kChunkBytes;
   }
@@ -139,7 +138,6 @@ void Pool::push_remote(void* p) {
 }
 
 void* Pool::allocate(std::size_t n, std::size_t* usable) {
-  ++stats_.allocs;
   if (n > kMaxSmall) {
     char* raw = static_cast<char*>(::operator new(kHeaderSize + n));
     auto* h = reinterpret_cast<Header*>(raw);
@@ -167,18 +165,13 @@ void Pool::deallocate(void* p) {
     return;
   }
   Pool* owner = h->owner;
-  Pool& mine = local();
-  ++mine.stats_.frees;
-  if (owner == &mine) {
-    mine.free_local(p, h->cls);
+  if (owner == &local()) {
+    owner->free_local(p, h->cls);
   } else {
-    ++mine.stats_.remote_frees;
     owner->push_remote(p);
   }
 }
 
 std::size_t Pool::usable_size(const void* p) { return header_of(p)->size; }
-
-Pool::Stats Pool::stats() const { return stats_; }
 
 }  // namespace cstm

@@ -39,14 +39,6 @@ class Pool {
   /// Usable size of a live block.
   static std::size_t usable_size(const void* p);
 
-  struct Stats {
-    std::uint64_t allocs = 0;
-    std::uint64_t frees = 0;
-    std::uint64_t remote_frees = 0;
-    std::uint64_t chunk_bytes = 0;
-  };
-  Stats stats() const;
-
   /// Number of pools ever created (diagnostic: parked pools are reused).
   static std::size_t pool_count();
 
@@ -74,7 +66,6 @@ class Pool {
   char* bump_ = nullptr;
   char* bump_end_ = nullptr;
   std::vector<void*> chunks_;
-  Stats stats_;
 
   friend struct PoolTestAccess;
 };

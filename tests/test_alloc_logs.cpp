@@ -489,11 +489,11 @@ TEST(FilterLog, EraseOfStaleEpochBlockIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Array-log overflow accounting (TxStats::array_overflows reads
-// per-transaction deltas of dropped()).
+// Array-log overflow accounting (reset_logs adds dropped() to
+// TxStats::array_overflows once per transaction, then clears the log).
 // ---------------------------------------------------------------------------
 
-TEST(ArrayLog, DroppedSurvivesClear) {
+TEST(ArrayLog, ClearResetsDropped) {
   ArrayAllocLog log;
   for (std::size_t i = 0; i <= ArrayAllocLog::kCapacity; ++i) {
     log.insert(ptr(0x10000 + i * 0x100), 8);
@@ -501,9 +501,9 @@ TEST(ArrayLog, DroppedSurvivesClear) {
   EXPECT_EQ(log.dropped(), 1u);
   log.clear();
   EXPECT_EQ(log.entries(), 0u);
-  EXPECT_EQ(log.dropped(), 1u);  // cumulative: per-tx deltas need this
+  EXPECT_EQ(log.dropped(), 0u);
   log.insert(ptr(0x90000), 8);
-  EXPECT_EQ(log.dropped(), 1u);
+  EXPECT_EQ(log.dropped(), 0u);
 }
 
 TEST(ArrayLog, OverflowCounterSurfacesInStats) {

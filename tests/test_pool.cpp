@@ -66,7 +66,6 @@ TEST(Pool, CrossThreadFreeRoutesToOwner) {
   // Thread A allocates; thread B frees; thread A's next allocation can
   // reuse the block after the remote stack drains.
   void* p = Pool::local().allocate(128);
-  const auto before = Pool::local().stats();
   std::thread([&] { Pool::deallocate(p); }).join();
   // Drain happens on allocation miss; allocate enough to hit the class.
   std::vector<void*> got;
@@ -78,7 +77,6 @@ TEST(Pool, CrossThreadFreeRoutesToOwner) {
   }
   EXPECT_TRUE(reused);
   for (void* q : got) Pool::deallocate(q);
-  (void)before;
 }
 
 TEST(Pool, PoolsAreParkedAndRecycled) {

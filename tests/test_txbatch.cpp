@@ -1,15 +1,13 @@
-// txbatch merge layer: FIFO merging, completion tokens, the compatibility
-// policy hook, and — the part that earns the subsystem its place — per-sub-
+// txbatch merge layer: FIFO merging, completion tokens, the TxStats merge
+// counters, and — the part that earns the subsystem its place — per-sub-
 // transaction abort compensation: an op that user-aborts inside a merged
 // batch is rolled back by the nested partial-abort machinery (captured
-// memory included) and requeued or failed INDIVIDUALLY, leaving its
-// siblings' effects committed.
+// memory included) and failed INDIVIDUALLY, leaving its siblings' effects
+// committed.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "stamp/app.hpp"
@@ -41,16 +39,13 @@ TEST_F(TxBatch, DrainRunsOpsInFifoOrder) {
   for (const auto& t : tokens) EXPECT_EQ(t.state(), txbatch::OpState::kPending);
   batcher.drain();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  for (const auto& t : tokens) {
-    EXPECT_TRUE(t.committed());
-    EXPECT_EQ(t.attempts(), 1u);
-  }
-  EXPECT_EQ(batcher.stats().batches, 1u);
-  EXPECT_EQ(batcher.stats().ops_enqueued, 5u);
-  EXPECT_EQ(batcher.stats().ops_committed, 5u);
-  EXPECT_EQ(batcher.stats().ops_failed, 0u);
+  for (const auto& t : tokens) EXPECT_TRUE(t.committed());
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.batch_flushes, 1u);
+  EXPECT_EQ(s.batch_ops, 5u);
+  EXPECT_EQ(s.batch_op_compensations, 0u);
   // One merged batch = ONE top-level commit.
-  EXPECT_EQ(stats_snapshot().commits, 1u);
+  EXPECT_EQ(s.commits, 1u);
 }
 
 TEST_F(TxBatch, SizeTriggeredFlushInsideEnqueue) {
@@ -63,13 +58,13 @@ TEST_F(TxBatch, SizeTriggeredFlushInsideEnqueue) {
   }
   // The 4th enqueue hit max_batch and flushed synchronously.
   EXPECT_EQ(batcher.pending(), 0u);
-  EXPECT_EQ(batcher.stats().batches, 1u);
+  EXPECT_EQ(stats_snapshot().batch_flushes, 1u);
   EXPECT_EQ(cell, 4u);
 }
 
 TEST_F(TxBatch, CompensatedAbortLeavesSiblingsCommitted) {
   // Op 3 of 8 deliberately aborts: ops 0..2 stay committed, ops 4..7 run
-  // unaffected, and only op 3 is failed (no retry budget).
+  // unaffected, and only op 3 is failed.
   txbatch::BatcherOptions opts;
   opts.max_batch = 8;
   txbatch::Batcher batcher(opts);
@@ -87,9 +82,7 @@ TEST_F(TxBatch, CompensatedAbortLeavesSiblingsCommitted) {
     EXPECT_EQ(tokens[static_cast<std::size_t>(i)].committed(), i != 3);
   }
   EXPECT_TRUE(tokens[3].failed());
-  EXPECT_EQ(batcher.stats().ops_committed, 7u);
-  EXPECT_EQ(batcher.stats().ops_failed, 1u);
-  EXPECT_EQ(batcher.stats().ops_requeued, 0u);
+  EXPECT_EQ(batcher.pending(), 0u);  // failed, not put back in the queue
   const TxStats s = stats_snapshot();
   EXPECT_EQ(s.commits, 1u);  // the merged transaction still committed
   EXPECT_EQ(s.nested_partial_aborts, 1u);
@@ -127,75 +120,6 @@ TEST_F(TxBatch, CompensationRestoresCapturedMemory) {
   EXPECT_EQ(s.nested_partial_aborts, 1u);
 }
 
-TEST_F(TxBatch, RequeueBudgetRetriesCompensatedOp) {
-  txbatch::BatcherOptions opts;
-  opts.max_batch = 2;
-  opts.max_retries = 1;
-  txbatch::Batcher batcher(opts);
-  std::uint64_t cell = 0;
-  int executions = 0;  // plain local: survives the rollback
-  auto flaky = batcher.enqueue([&](Tx& tx) {
-    if (executions++ == 0) abort_tx();  // fail the first attempt only
-    tm_write(tx, &cell, std::uint64_t{7});
-  });
-  batcher.enqueue([](Tx&) {});
-  batcher.drain();  // drain keeps flushing until the requeue settles
-  EXPECT_TRUE(flaky.committed());
-  EXPECT_EQ(flaky.attempts(), 2u);
-  EXPECT_EQ(cell, 7u);
-  EXPECT_EQ(batcher.stats().ops_requeued, 1u);
-  EXPECT_EQ(batcher.stats().ops_failed, 0u);
-  EXPECT_EQ(batcher.stats().batches, 2u);
-}
-
-TEST_F(TxBatch, ExhaustedRetryBudgetFailsOp) {
-  txbatch::BatcherOptions opts;
-  opts.max_batch = 1;
-  opts.max_retries = 2;
-  txbatch::Batcher batcher(opts);
-  auto doomed = batcher.enqueue([](Tx&) { abort_tx(); });
-  batcher.drain();
-  EXPECT_TRUE(doomed.failed());
-  EXPECT_EQ(doomed.attempts(), 3u);  // initial run + 2 requeues
-  EXPECT_EQ(batcher.stats().ops_requeued, 2u);
-  EXPECT_EQ(batcher.stats().ops_failed, 1u);
-}
-
-TEST_F(TxBatch, MergePolicySplitsIncompatibleOps) {
-  // Same-tag-only policy: tags A A B B A must produce three batches
-  // (A A | B B | A) — the policy closes a batch, never reorders the queue.
-  txbatch::BatcherOptions opts;
-  opts.max_batch = 16;
-  opts.policy = [](const txbatch::OpInfo& head, const txbatch::OpInfo& cand) {
-    return head.tag == cand.tag;
-  };
-  txbatch::Batcher batcher(opts);
-  std::vector<std::uint64_t> order;
-  for (std::uint64_t tag : {0u, 0u, 1u, 1u, 0u}) {
-    batcher.enqueue([&order, tag](Tx&) { order.push_back(tag); }, tag);
-  }
-  batcher.drain();
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 0, 1, 1, 0}));
-  EXPECT_EQ(batcher.stats().batches, 3u);
-  EXPECT_EQ(stats_snapshot().commits, 3u);
-}
-
-TEST_F(TxBatch, DeadlineFlushesOverdueOpsBeforeNewcomerJoins) {
-  txbatch::BatcherOptions opts;
-  opts.max_batch = 64;
-  opts.max_delay = std::chrono::microseconds{500};
-  txbatch::Batcher batcher(opts);
-  auto first = batcher.enqueue([](Tx&) {});
-  std::this_thread::sleep_for(std::chrono::milliseconds{5});
-  auto second = batcher.enqueue([](Tx&) {});
-  // The overdue queue flushed before the second op joined it.
-  EXPECT_TRUE(first.committed());
-  EXPECT_EQ(second.state(), txbatch::OpState::kPending);
-  EXPECT_EQ(batcher.pending(), 1u);
-  batcher.drain();
-  EXPECT_TRUE(second.committed());
-}
-
 TEST_F(TxBatch, EscapingExceptionCancelsWholeBatch) {
   // A non-transactional exception is NOT compensated per-op: the outer
   // transaction cancels, every sibling's effects are discarded, all ops in
@@ -214,16 +138,18 @@ TEST_F(TxBatch, EscapingExceptionCancelsWholeBatch) {
   EXPECT_TRUE(a.failed());
   EXPECT_TRUE(b.failed());
   EXPECT_TRUE(c.failed());
-  EXPECT_EQ(batcher.stats().ops_failed, 3u);
-  EXPECT_EQ(stats_snapshot().commits, 0u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.commits, 0u);
+  EXPECT_EQ(s.batch_flushes, 0u);  // a cancelled batch folds no merge counters
 }
 
 TEST_F(TxBatch, EmptyFlushIsANoOp) {
   txbatch::Batcher batcher;
   EXPECT_EQ(batcher.flush(), 0u);
-  EXPECT_EQ(batcher.stats().batches, 0u);
   batcher.drain();
-  EXPECT_EQ(stats_snapshot().commits, 0u);
+  const TxStats s = stats_snapshot();
+  EXPECT_EQ(s.batch_flushes, 0u);
+  EXPECT_EQ(s.commits, 0u);
 }
 
 TEST_F(TxBatch, BatchingAmortizesCommitsAndRaisesCaptureHits) {

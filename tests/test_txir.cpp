@@ -5,8 +5,8 @@
 // Structure:
 //  * CFG structure: verifier accepts well-formed functions and names every
 //    malformation (unterminated block, branch-arg/param arity mismatch,
-//    redefinition, non-dominating use); build_cfg classifies back-edges vs
-//    retreating edges and computes dominance;
+//    redefinition, non-dominating use, including around a loop);
+//    build_cfg flags unreachable blocks;
 //  * soundness: shapes where static elision is ILLEGAL (pre-tx allocation,
 //    escape via store to shared, alias merge at a block param, publication
 //    before an access on any path, opaque calls, loop-carried publication,
@@ -247,80 +247,49 @@ TEST(TxIrVerifier, KernelCorpusIsWellFormed) {
 }
 
 // ---------------------------------------------------------------------------
-// CFG facts: RPO, dominance, back-edge vs retreating classification.
+// CFG facts: reachability, and the dominance the verifier derives from it.
 // ---------------------------------------------------------------------------
 
-TEST(TxIrCfg, NaturalLoopHasBackEdge) {
+TEST(TxIrVerifier, LoopHeaderDominatesBodyButBodyDoesNotDominateExit) {
+  // entry -> head -> {body -> head (latch), exit}. A value defined in the
+  // header reaches every use in the body; one defined in the body does not
+  // reach the exit, which the header can enter without running the body.
   Program p;
-  Function& f = p.add("f");
-  FunctionBuilder b(f);
-  const BlockId head = b.block("head");
-  const BlockId body = b.block("body");
-  const BlockId exit = b.block("exit");
-  const ValueId c = b.unknown();
-  b.br(head);
-  b.set_block(head);
-  b.br_cond(c, body, exit);
-  b.set_block(body);
-  b.br(head);  // latch
-  b.set_block(exit);
-  b.ret();
-  const Cfg cfg = build_cfg(f);
-  ASSERT_EQ(cfg.back_edges.size(), 1u);
-  EXPECT_EQ(cfg.back_edges[0].first, body);
-  EXPECT_EQ(cfg.back_edges[0].second, head);
-  EXPECT_EQ(cfg.retreating_edges.size(), 1u);
-  EXPECT_FALSE(cfg.irreducible());
-  EXPECT_TRUE(cfg.dominates(0, head));
-  EXPECT_TRUE(cfg.dominates(head, body));
-  EXPECT_TRUE(cfg.dominates(head, exit));
-  EXPECT_FALSE(cfg.dominates(body, exit));
-}
-
-TEST(TxIrCfg, MultiLatchLoopHasTwoBackEdges) {
-  Program p;
-  Function& f = p.add("f");
-  FunctionBuilder b(f);
-  const BlockId head = b.block("head");
-  const BlockId l1 = b.block("latch1");
-  const BlockId l2 = b.block("latch2");
-  const BlockId exit = b.block("exit");
-  const ValueId c = b.unknown();
-  b.br(head);
-  b.set_block(head);
-  b.br_cond(c, l1, l2);
-  b.set_block(l1);
-  b.br_cond(c, head, exit);
-  b.set_block(l2);
-  b.br(head);
-  b.set_block(exit);
-  b.ret();
-  const Cfg cfg = build_cfg(f);
-  EXPECT_EQ(cfg.back_edges.size(), 2u);
-  EXPECT_FALSE(cfg.irreducible());
-}
-
-TEST(TxIrCfg, IrreducibleLoopIsDetected) {
-  // Two blocks jumping into each other, both reachable from the entry:
-  // the retreating edge's target does not dominate its source.
-  Program p;
-  Function& f = p.add("f");
-  FunctionBuilder b(f);
-  const BlockId a = b.block("a");
-  const BlockId c = b.block("c");
-  const BlockId exit = b.block("exit");
-  const ValueId u = b.unknown();
-  b.br_cond(u, a, c);
-  b.set_block(a);
-  b.br_cond(u, c, exit);
-  b.set_block(c);
-  b.br_cond(u, a, exit);
-  b.set_block(exit);
-  b.ret();
-  const Cfg cfg = build_cfg(f);
-  EXPECT_TRUE(cfg.irreducible());
-  EXPECT_TRUE(cfg.back_edges.empty());
-  EXPECT_FALSE(cfg.retreating_edges.empty());
+  {
+    Function& f = p.add("header_def");
+    FunctionBuilder b(f);
+    const BlockId head = b.block("head");
+    const BlockId body = b.block("body");
+    const BlockId exit = b.block("exit");
+    b.br(head);
+    b.set_block(head);
+    const ValueId x = b.txalloc();
+    b.br_cond(b.unknown(), body, exit);
+    b.set_block(body);
+    b.store(x, 0, x, "body.use");
+    b.br(head);
+    b.set_block(exit);
+    b.ret();
+    const auto errs = verify(f);
+    EXPECT_TRUE(errs.empty()) << errs.front();
+  }
+  {
+    Function& f = p.add("body_def");
+    FunctionBuilder b(f);
+    const BlockId head = b.block("head");
+    const BlockId body = b.block("body");
+    const BlockId exit = b.block("exit");
+    b.br(head);
+    b.set_block(head);
+    b.br_cond(b.unknown(), body, exit);
+    b.set_block(body);
+    const ValueId x = b.txalloc();
+    b.br(head);
+    b.set_block(exit);
+    b.store(x, 0, x, "exit.use");
+    b.ret();
+    EXPECT_TRUE(any_error_contains(verify(f), "dominate"));
+  }
 }
 
 TEST(TxIrCfg, UnreachableBlockIsFlagged) {
@@ -914,7 +883,6 @@ TEST(TxIrSoundness, IrreducibleLoopDegradesConservatively) {
   b.set_block(exit);
   b.ret();
   ASSERT_TRUE(verify(f).empty());
-  ASSERT_TRUE(build_cfg(f).irreducible());
   const AnalysisResult r = analyze(f);
   EXPECT_FALSE(r.site_elidable("irr.store"));
   EXPECT_TRUE(r.site_demoted("irr.store"));
@@ -946,7 +914,6 @@ TEST(TxIrSoundness, MultiLatchLoopPublicationFlowsThroughEveryLatch) {
   b.set_block(exit);
   b.ret();
   ASSERT_TRUE(verify(f).empty());
-  ASSERT_EQ(build_cfg(f).back_edges.size(), 2u);
   const AnalysisResult r = analyze(f);
   EXPECT_FALSE(r.site_elidable("latch.store"));
   EXPECT_TRUE(r.site_demoted("latch.store"));

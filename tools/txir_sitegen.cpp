@@ -8,17 +8,14 @@
 // this file is only the CLI.
 //
 // Modes:
-//   txir_sitegen                      render the header to stdout
 //   txir_sitegen --out PATH           write the header to PATH
 //   txir_sitegen --check PATH         staleness gate: exit 1 + drift diff
 //                                     when PATH differs from a fresh render
 //   txir_sitegen --report             print the per-kernel precision table
-//   txir_sitegen --list               print the resolved verdict table
 //
 // Exit codes: 0 ok / fresh, 1 stale (--check), 2 usage or I/O or an
 // invalid spec table (evidence naming a kernel site that does not exist).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -29,13 +26,11 @@
 
 namespace {
 
-using cstm::verdict_name;
 using namespace cstm::txir;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: txir_sitegen [--out PATH | --check PATH | --report |"
-               " --list]\n");
+               "usage: txir_sitegen --out PATH | --check PATH | --report\n");
   return 2;
 }
 
@@ -117,41 +112,15 @@ int run_out(const std::string& path) {
   return 0;
 }
 
-int run_list() {
-  std::vector<std::string> errors;
-  const std::vector<ResolvedSite> resolved = resolve_site_verdicts(&errors);
-  for (const std::string& e : errors) {
-    std::fprintf(stderr, "txir_sitegen: spec table error: %s\n", e.c_str());
-  }
-  std::printf("%-38s %-22s %-7s %-9s %s\n", "constant", "site", "manual",
-              "verdict", "evidence");
-  for (const ResolvedSite& r : resolved) {
-    const std::string constant = r.spec.ns + "::" + r.spec.constant;
-    const std::string evidence =
-        r.spec.entry.empty() ? "(none)"
-                             : r.spec.entry + " : " + r.spec.kernel_site;
-    std::printf("%-38s %-22s %-7s %-9s %s\n", constant.c_str(),
-                r.spec.site_name.c_str(), r.spec.manual ? "true" : "false",
-                verdict_name(r.verdict), evidence.c_str());
-  }
-  return errors.empty() ? 0 : 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 1) {
-    std::string fresh;
-    if (!render_checked(&fresh)) return 2;
-    std::fputs(fresh.c_str(), stdout);
-    return 0;
-  }
+  if (argc < 2) return usage();
   const std::string mode = argv[1];
   if (mode == "--report" && argc == 2) {
     std::fputs(kernel_report_table().c_str(), stdout);
     return 0;
   }
-  if (mode == "--list" && argc == 2) return run_list();
   if (mode == "--out" && argc == 3) return run_out(argv[2]);
   if (mode == "--check" && argc == 3) return run_check(argv[2]);
   return usage();
